@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .lattices import (
+    DiscriminantForm,
     LatticeExpr,
     discriminant_form,
     discriminant_group,
@@ -185,48 +186,61 @@ def table2_domain() -> set[tuple[int, int]]:
             for i in range(imax + 1)}
 
 
-def classify_type(m_plus0: LatticeExpr, m_minus: LatticeExpr) -> bool:
-    """True for type I: q integer-valued on the 2-primary discriminant part.
+def classify_type(m_plus0: LatticeExpr,
+                  m_minus: LatticeExpr) -> DiscriminantForm:
+    """M_-'s discriminant form, once both eigenlattices agree on the type.
 
-    Both eigenlattices must give the same verdict; disagreement signals a
-    data error.
+    The class is type I when q is integer-valued on the 2-primary
+    discriminant part (``two_part_integer``). Both eigenlattices must give
+    the same verdict; disagreement signals a data error.
     """
-    v_minus = discriminant_form(gram(m_minus)).two_part_integer
+    minus = discriminant_form(gram(m_minus))
     v_plus = discriminant_form(gram(m_plus0)).two_part_integer
-    if v_minus != v_plus:
+    if minus.two_part_integer != v_plus:
         raise ValueError(
             f"type verdicts disagree for ({m_plus0}, {m_minus}): "
-            f"M+0 says {v_plus}, M- says {v_minus}")
-    return v_minus
+            f"M+0 says {v_plus}, M- says {minus.two_part_integer}")
+    return minus
 
 
-def _make_vertex(i: int, j: int, special: bool,
-                 m_plus0: LatticeExpr, m_minus: LatticeExpr) -> VertexData:
-    r = m_minus.rank
-    d = discriminant_group(gram(m_minus)).two_rank
-    return VertexData(VertexId(i, j, special), m_plus0, m_minus, r, d,
-                      classify_type(m_plus0, m_minus))
+def vertex_ids() -> list[VertexId]:
+    """The 75 classes: the 64 principal ones, then the 11 special ones."""
+    dom = table1_domain()
+    if dom != table2_domain():
+        raise ValueError("principal coordinate domains disagree")
+    return ([VertexId(i, j) for (i, j) in sorted(dom)]
+            + [VertexId(i, j, True) for (i, j) in sorted(_TABLE_SPECIAL)])
+
+
+def table_vertex(vid: VertexId) -> VertexData:
+    """One class with its invariants, from the tables; KeyError if none."""
+    i, j = vid.i, vid.j
+    if vid.special and (i, j) in _TABLE_SPECIAL:
+        plus, minus = _TABLE_SPECIAL[(i, j)]
+        m_plus0, m_minus = parse_lattice_expr(plus), parse_lattice_expr(minus)
+    elif not vid.special and (i, j) in table1_domain():
+        jmax_p, tpl_p = _TABLE_PLUS[i]
+        imax_m, tpl_m = _TABLE_MINUS[j]
+        m_plus0 = _principal_expr(tpl_p, jmax_p - j)
+        m_minus = _principal_expr(tpl_m, imax_m - i)
+    else:
+        raise KeyError(f"{vid} is not a class of the tables")
+    form = classify_type(m_plus0, m_minus)
+    return VertexData(vid, m_plus0, m_minus, m_minus.rank,
+                      form.group.two_rank, form.two_part_integer)
 
 
 @lru_cache(maxsize=None)
 def build_atlas(kind: str = "K4") -> Atlas:
-    if kind not in ("K4", "K3"):
+    """The K4-graph, or the K3-graph: the same vertices and edges with the
+    real-locus annotations. Each process builds the vertex table once."""
+    if kind == "K3":
+        k4 = build_atlas("K4")
+        return Atlas("K3", dict(k4.vertices), k4.edges,
+                     dict(_K3_REAL_LOCUS), dict(_K3_L_PLUS))
+    if kind != "K4":
         raise ValueError(f"unknown graph kind {kind!r}")
-    dom = table1_domain()
-    if dom != table2_domain():
-        raise ValueError("principal coordinate domains disagree")
-    vertices: dict[VertexId, VertexData] = {}
-    for (i, j) in sorted(dom):
-        jmax_p, tpl_p = _TABLE_PLUS[i]
-        imax_m, tpl_m = _TABLE_MINUS[j]
-        v = _make_vertex(i, j, False,
-                         _principal_expr(tpl_p, jmax_p - j),
-                         _principal_expr(tpl_m, imax_m - i))
-        vertices[v.id] = v
-    for (i, j), (plus, minus) in sorted(_TABLE_SPECIAL.items()):
-        v = _make_vertex(i, j, True,
-                         parse_lattice_expr(plus), parse_lattice_expr(minus))
-        vertices[v.id] = v
+    vertices = {vid: table_vertex(vid) for vid in vertex_ids()}
 
     edges: list[Edge] = []
     paper_pairs = set()
@@ -234,6 +248,7 @@ def build_atlas(kind: str = "K4") -> Atlas:
         s, t = VertexId(*src), VertexId(*dst)
         edges.append(Edge(s, t, move, "paper"))
         paper_pairs.add((s, t))
+    dom = table1_domain()
     for (i, j) in sorted(dom):
         for (di, dj, move) in ((1, 0, MoveKind.L), (0, 1, MoveKind.R)):
             if (i + di, j + dj) not in dom:
@@ -242,10 +257,7 @@ def build_atlas(kind: str = "K4") -> Atlas:
             if t in _TERMINAL or (s, t) in paper_pairs:
                 continue
             edges.append(Edge(s, t, move, "grid"))
-
-    return Atlas(kind, vertices, tuple(edges),
-                 dict(_K3_REAL_LOCUS) if kind == "K3" else {},
-                 dict(_K3_L_PLUS) if kind == "K3" else {})
+    return Atlas(kind, vertices, tuple(edges))
 
 
 def vertex_invariants(v: VertexData) -> tuple[int, int, int, int, int, int]:

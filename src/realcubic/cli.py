@@ -17,6 +17,7 @@ from . import atlas as atlas_mod
 from . import surgery as surgery_mod
 from .lattices import (
     IndefiniteLatticeError,
+    LatticeError,
     ParseError,
     discriminant_form,
     enumerate_norm_vectors,
@@ -78,10 +79,16 @@ def _cmd_atlas(args) -> int:
 
 def _cmd_lattice(args) -> int:
     try:
-        expr = parse_lattice_expr(args.expr)
+        return _lattice_query(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except LatticeError as exc:
+        print(f"lattice error: {exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _lattice_query(args) -> int:
+    expr = parse_lattice_expr(args.expr)
     g = gram(expr)
     if args.lattice_cmd == "info":
         df = discriminant_form(g)
@@ -114,14 +121,17 @@ def _cmd_cusp(args) -> int:
     except ValueError as exc:
         print(f"bad --edge: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    a = atlas_mod.build_atlas("K4")
-    if sid not in a.vertices or tid not in a.vertices:
+    try:
+        source, target = (atlas_mod.table_vertex(sid),
+                          atlas_mod.table_vertex(tid))
+    except KeyError:
         print("edge endpoints must be atlas vertices", file=sys.stderr)
         return EXIT_USAGE
     if 11 - sid.i - sid.j < 11 - tid.i - tid.j:
         sid, tid = tid, sid  # lower-d endpoint is the target
+        source, target = target, source
     try:
-        v = cusp_stratum((a.vertex(sid), a.vertex(tid)), height=args.height)
+        v = cusp_stratum((source, target), height=args.height)
     except ValueError as exc:
         print(f"bad edge: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -178,10 +188,22 @@ def _cmd_ramified(args) -> int:
     return EXIT_OK
 
 
+def _check_int_matrix(m) -> None:
+    """A nonempty square list of lists of JSON integers (bools excluded)."""
+    if not isinstance(m, list) or not m or \
+            not all(isinstance(row, list) for row in m):
+        raise ValueError("matrix must be a nonempty list of rows")
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("matrix must be square")
+    if any(type(x) is not int for row in m for x in row):
+        raise ValueError("matrix entries must be integers")
+
+
 def _cmd_surgery(args) -> int:
     if args.surgery_cmd == "h1":
         try:
             m = json.loads(args.matrix)
+            _check_int_matrix(m)
             group = surgery_mod.h1_from_linking(m)
         except (json.JSONDecodeError, ValueError, TypeError) as exc:
             print(f"bad --matrix: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .intmat import det, smith_normal_form
+from .intmat import det, matmul, smith_normal_form
 
 Vector = tuple[int, ...]
 
@@ -406,12 +406,21 @@ class DiscriminantGroup:
         return " + ".join(f"Z/{f}" for f in self.invariant_factors)
 
 
-def discriminant_group(g: GramMatrix) -> DiscriminantGroup:
-    if g.det() == 0:
+def _smith(g: GramMatrix) -> tuple[list[int], list[list[int]]]:
+    """Smith factors and right transform V of a nondegenerate Gram matrix."""
+    factors, _, v = smith_normal_form(g.rows())
+    if 0 in factors:
         raise DegenerateLatticeError("degenerate Gram matrix")
-    factors, _, _ = smith_normal_form(g.rows())
+    return factors, v
+
+
+def _group(factors: list[int]) -> DiscriminantGroup:
     inv = tuple(f for f in factors if f > 1)
     return DiscriminantGroup(inv, sum(1 for f in inv if f % 2 == 0))
+
+
+def discriminant_group(g: GramMatrix) -> DiscriminantGroup:
+    return _group(_smith(g)[0])
 
 
 def _mod(x: Fraction, m: int) -> Fraction:
@@ -440,68 +449,42 @@ class DiscriminantForm:
 
 
 def discriminant_form(g: GramMatrix) -> DiscriminantForm:
-    if g.det() == 0:
-        raise DegenerateLatticeError("degenerate Gram matrix")
-    factors, u, v = smith_normal_form(g.rows())
-    group = discriminant_group(g)
-    gens: list[tuple[Fraction, ...]] = []
-    orders: list[int] = []
-    for i, d in enumerate(factors):
-        if d > 1:
-            gens.append(tuple(Fraction(v[r][i], d) for r in range(g.rank)))
-            orders.append(d)
+    """Discriminant group of ``g`` with its quadratic and bilinear forms.
 
-    def pair(x, y) -> Fraction:
-        return sum(x[i] * g.entries[i][j] * y[j]
-                   for i in range(g.rank) for j in range(g.rank))
+    One Smith normal form U*G*V = diag(d) gives everything: the group is
+    the sum of Z/d_i over the factors d_i > 1, and g_i = v_i / d_i, with v_i
+    the matching columns of V, generate it (G g_i = U^-1 e_i is integral).
+    With the integer matrix W = V^T G V over those columns,
 
-    q_vals = tuple(_mod(pair(x, x), 2) for x in gens)
-    b_vals = tuple(tuple(_mod(pair(x, y), 1) for y in gens) for x in gens)
+        q(g_i) = W_ii / d_i^2 mod 2,    b(g_i, g_j) = W_ij / (d_i d_j) mod 1.
 
-    # enumerate the 2-primary part and check integrality of q on it
-    two_orders = []
-    for d in orders:
-        t = 1
-        while d % 2 == 0:
-            d //= 2
-            t *= 2
-        two_orders.append(t)
-    total = 1
-    for t in two_orders:
-        total *= t
-    if total > 1 << 14:
-        raise LatticeError("2-primary part too large to enumerate")
-    two_gens = [tuple((d // t) * c for c in gen)
-                for gen, d, t in zip(gens, orders, two_orders)]
-    # q(sum c_i y_i) = sum c_i c_j num_ij / den with a common denominator,
-    # so integrality is a pure-integer congruence
-    idx = [k for k, t in enumerate(two_orders) if t > 1]
-    den = 1
-    for k in idx:
-        den = den * two_orders[k] ** 2 // math.gcd(den, two_orders[k] ** 2)
-    num = {}
-    for a in idx:
-        for b in idx:
-            val = pair(two_gens[a], two_gens[b]) * den
-            assert val.denominator == 1
-            num[a, b] = int(val)
-    integer = True
-    counters = {k: 0 for k in idx}
-    while True:
-        q_num = sum(counters[a] * counters[b] * num[a, b]
-                    for a in idx for b in idx)
-        if q_num % den:
-            integer = False
-            break
-        for k in idx:
-            counters[k] += 1
-            if counters[k] < two_orders[k]:
-                break
-            counters[k] = 0
-        else:
-            break
+    The 2-primary part is generated by y_i = (d_i / t_i) g_i, where t_i is
+    the 2-part of d_i. Since q(x + y) = q(x) + q(y) + 2 b(x, y) exactly, q
+    is integer-valued on it iff every q(y_i) = W_ii / t_i^2 and every
+    2 b(y_i, y_j) = 2 W_ij / (t_i t_j) is an integer: t_i^2 | W_ii and
+    t_i t_j | 2 W_ij (i < j).
+    """
+    factors, v = _smith(g)
+    group = _group(factors)
+    cols = [i for i, d in enumerate(factors) if d > 1]
+    orders = group.invariant_factors
+    vsel = [[row[i] for i in cols] for row in v]
+    vt = [list(c) for c in zip(*vsel)]
+    w = matmul(vt, matmul(g.rows(), vsel))
+    k = len(cols)
 
-    return DiscriminantForm(group, tuple(gens), q_vals, b_vals, integer, g)
+    gens = tuple(tuple(Fraction(x, d) for x in col)
+                 for col, d in zip(vt, orders))
+    q_vals = tuple(_mod(Fraction(w[i][i], orders[i] ** 2), 2)
+                   for i in range(k))
+    b_vals = tuple(tuple(_mod(Fraction(w[i][j], orders[i] * orders[j]), 1)
+                         for j in range(k)) for i in range(k))
+
+    t = [d & -d for d in orders]  # 2-parts of the orders
+    integer = (all(w[i][i] % (t[i] * t[i]) == 0 for i in range(k))
+               and all(2 * w[i][j] % (t[i] * t[j]) == 0
+                       for i in range(k) for j in range(i + 1, k)))
+    return DiscriminantForm(group, gens, q_vals, b_vals, integer, g)
 
 
 def two_part_integer(g: GramMatrix) -> bool:

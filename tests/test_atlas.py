@@ -10,7 +10,9 @@ from realcubic.atlas import (
     build_atlas,
     table1_domain,
     table2_domain,
+    table_vertex,
     validate_atlas,
+    vertex_ids,
     vertex_invariants,
 )
 from realcubic.lattices import discriminant_group, gram, signature
@@ -139,3 +141,17 @@ def test_k3_atlas(k3):
 def test_unknown_kind():
     with pytest.raises(ValueError):
         build_atlas("K5")
+
+
+def test_k3_shares_the_k4_vertex_table(k4, k3):
+    assert k3.edges == k4.edges
+    assert all(k3.vertex(vid) is v for vid, v in k4.vertices.items())
+
+
+def test_table_vertex_is_the_atlas_vertex(k4):
+    assert vertex_ids() == list(k4.vertices)
+    for vid in vertex_ids():
+        assert table_vertex(vid) == k4.vertex(vid)
+    for vid in (VertexId(0, 10), VertexId(11, 0), VertexId(0, 0, True)):
+        with pytest.raises(KeyError):
+            table_vertex(vid)

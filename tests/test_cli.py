@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from realcubic.atlas import build_atlas
 from realcubic.cli import main
 
 
@@ -110,3 +111,42 @@ def test_determinism(capsys):
         _, out, _ = run(capsys, "lattice", "info", "U(2)+A2")
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_lattice_info_past_old_two_primary_cap(capsys):
+    code, out, _ = run(capsys, "lattice", "info", "3*E8(2)")
+    assert code == 0
+    assert "rank: 24" in out
+    assert "two-part integer: yes" in out
+
+
+def test_lattice_error_is_usage_error(capsys):
+    code, out, err = run(capsys, "lattice", "roots", "E8", "--norm", "0")
+    assert code == 2 and out == ""
+    assert "norm must be positive" in err
+
+
+@pytest.mark.parametrize("matrix", [
+    "[[1.5]]", "[[true]]", "[[1, false], [false, 1]]", '[["1"]]', "[]",
+    "[[]]", "[[1, 2]]", "5", "[1]",
+])
+def test_surgery_h1_rejects_non_integer_matrices(capsys, matrix):
+    code, out, err = run(capsys, "surgery", "h1", "--matrix", matrix)
+    assert code == 2 and out == ""
+    assert "bad --matrix" in err
+
+
+def test_cusp_check_rejects_non_classes(capsys):
+    for edge in ("C0,9:C0,10", "C0,0_I:C0,1", "C11,0:C10,0"):
+        code, out, err = run(capsys, "cusp", "check", "--edge", edge)
+        assert code == 2 and out == ""
+        assert "must be atlas vertices" in err
+
+
+def test_cusp_check_builds_no_atlas(capsys):
+    before = build_atlas.cache_info()
+    code, out, _ = run(capsys, "cusp", "check", "--edge", "C5,4:C5,3")
+    assert code == 0
+    assert json.loads(out)["edge"] == "C5,3:C5,4"
+    after = build_atlas.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
