@@ -14,8 +14,6 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from .lattices import (
     GramMatrix,
     LatticeExpr,
@@ -170,6 +168,10 @@ def refute_a2_mod2(expr: LatticeExpr) -> Optional[Mod2Refutation]:
     containing a square-2 vector), and refutes when every candidate pair has
     even pairing mod 2.
     """
+    # numpy costs about 0.1 s to import and only this sweep needs it, so
+    # commands that never refute do not pay for it
+    import numpy as np
+
     g = gram(expr)
     rank = g.rank
     if rank > 16:
