@@ -64,6 +64,7 @@ from .topology import (
     descriptor_invariants,
     facet_index_options,
     propagate,
+    verify,
 )
 from .walls import (
     CuspVerdict,

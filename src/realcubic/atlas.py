@@ -151,8 +151,9 @@ _PAPER_EDGES = [
     ((0, 2, False), (0, 3, True), MoveKind.R),
 ]
 
-# the two terminal classes take no grid-inferred edges
-_TERMINAL = {VertexId(10, 1), VertexId(2, 1, special=True)}
+# the two terminal classes: they take no grid-inferred edges, and the
+# R-walls into them are the only ones without a cuspidal stratum
+TERMINAL = frozenset({VertexId(10, 1), VertexId(2, 1, special=True)})
 
 # K3-graph real-locus annotations consumed by the double-cover arguments
 _K3_REAL_LOCUS = {
@@ -254,7 +255,7 @@ def build_atlas(kind: str = "K4") -> Atlas:
             if (i + di, j + dj) not in dom:
                 continue
             s, t = VertexId(i, j), VertexId(i + di, j + dj)
-            if t in _TERMINAL or (s, t) in paper_pairs:
+            if t in TERMINAL or (s, t) in paper_pairs:
                 continue
             edges.append(Edge(s, t, move, "grid"))
     return Atlas(kind, vertices, tuple(edges))
@@ -360,7 +361,7 @@ def validate_atlas(a: Atlas) -> list[CheckResult]:
     check("edge-move-kinds", not bad_moves,
           "all edges match coordinate differences" if not bad_moves
           else "; ".join(bad_moves))
-    terminal_bad = [str(t) for t in _TERMINAL
+    terminal_bad = [str(t) for t in TERMINAL
                     if len(a.edges_at(t)) != 1]
     check("terminal-vertices", not terminal_bad,
           "C10,1 and C2,1_I have a single attaching edge"

@@ -1,16 +1,13 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 verification/computation failure, 2 usage error,
-3 unsupported request. Default runs are bit-reproducible (fixed search
-height and seed); the environment variable REALCUBIC_FORMAT overrides only
-the default output format.
+3 unsupported request. Runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import atlas as atlas_mod
@@ -26,17 +23,13 @@ from .lattices import (
     signature,
 )
 from .ramified import PerturbationData, euler_perturbation
-from .topology import descriptor_invariants, propagate
-from .walls import DEFAULT_HEIGHT, MoveKind, cusp_stratum
+from .topology import descriptor_invariants, propagate, verify
+from .walls import cusp_stratum
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
-
-
-def _default_format(fallback: str) -> str:
-    return os.environ.get("REALCUBIC_FORMAT", fallback)
 
 
 def _cmd_atlas(args) -> int:
@@ -47,31 +40,7 @@ def _cmd_atlas(args) -> int:
         else:
             print(atlas_mod.atlas_to_dot(a), end="")
         return EXIT_OK
-    # verify: atlas checks, cusp sweep, propagation
-    a = atlas_mod.build_atlas("K4")
-    report = [c.to_dict() for c in atlas_mod.validate_atlas(a)]
-    exceptional = {atlas_mod.VertexId(10, 1),
-                   atlas_mod.VertexId(2, 1, special=True)}
-    bad_cusp = []
-    for e in a.edges:
-        if e.move != MoveKind.R:
-            continue
-        v = cusp_stratum((a.vertex(e.source), a.vertex(e.target)),
-                         height=args.height)
-        want = "No" if e.target in exceptional else "Yes"
-        if v.kind != want:
-            bad_cusp.append(f"{e.source}-{e.target}: {v.kind}, expected {want}")
-    report.append({"name": "cusp-verdicts",
-                   "status": "pass" if not bad_cusp else "fail",
-                   "detail": "all R-walls as asserted" if not bad_cusp
-                   else "; ".join(bad_cusp)})
-    try:
-        propagate(a)
-        report.append({"name": "propagation", "status": "pass",
-                       "detail": "75 descriptors, invariants consistent"})
-    except ValueError as exc:
-        report.append({"name": "propagation", "status": "fail",
-                       "detail": str(exc)})
+    report = [c.to_dict() for c in verify(atlas_mod.build_atlas("K4"))]
     failures = [c for c in report if c["status"] == "fail"]
     print(json.dumps({"checks": report, "failures": failures}, indent=2))
     return EXIT_OK if not failures else EXIT_FAIL
@@ -131,7 +100,10 @@ def _cmd_cusp(args) -> int:
         sid, tid = tid, sid  # lower-d endpoint is the target
         source, target = target, source
     try:
-        v = cusp_stratum((source, target), height=args.height)
+        v = cusp_stratum((source, target))
+    except LatticeError as exc:
+        print(f"unsupported: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     except ValueError as exc:
         print(f"bad edge: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -235,18 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="realcubic",
         description="Lattice, atlas, and surgery computations for the "
                     "topological classification of real cubic fourfolds.")
-    p.add_argument("--height", type=int, default=DEFAULT_HEIGHT,
-                   help="coordinate height bound for A2-pair searches")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized helpers (reserved)")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     pa = sub.add_parser("atlas", help="build or verify the deformation atlas")
     suba = pa.add_subparsers(dest="atlas_cmd", required=True)
     pb = suba.add_parser("build")
     pb.add_argument("--graph", choices=["k4", "k3"], default="k4")
-    pb.add_argument("--format", choices=["json", "dot"],
-                    default=_default_format("json"))
+    pb.add_argument("--format", choices=["json", "dot"], default="json")
     suba.add_parser("verify")
 
     pl = sub.add_parser("lattice", help="lattice queries")
@@ -266,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("topology", help="real-locus table")
     subt = pt.add_subparsers(dest="topology_cmd", required=True)
     ptt = subt.add_parser("table")
-    ptt.add_argument("--format", choices=["md", "json"],
-                     default=_default_format("md"))
+    ptt.add_argument("--format", choices=["md", "json"], default="md")
 
     pm = sub.add_parser("ramified", help="perturbation arithmetic")
     subm = pm.add_subparsers(dest="ramified_cmd", required=True)

@@ -6,7 +6,6 @@ lattice invariants and the framed-link surgery homology.
 
 from __future__ import annotations
 
-from fractions import Fraction
 
 Matrix = list[list[int]]
 
@@ -152,22 +151,3 @@ def cokernel(m: Matrix) -> tuple[list[int], int]:
     torsion = [f for f in factors if f > 1]
     rank = sum(1 for f in factors if f != 0)
     return torsion, nr - rank
-
-
-def inverse_rational(m: Matrix) -> list[list[Fraction]]:
-    """Exact inverse of a nonsingular integer matrix."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        p = a[k][k]
-        a[k] = [x / p for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                c = a[i][k]
-                a[i] = [x - c * y for x, y in zip(a[i], a[k])]
-    return [row[n:] for row in a]

@@ -104,9 +104,6 @@ class LatticeExpr:
     def __str__(self) -> str:
         return "+".join(str(t) for t in self.terms)
 
-    def __add__(self, other: "LatticeExpr") -> "LatticeExpr":
-        return LatticeExpr(self.terms + other.terms)
-
 
 def parse_lattice_expr(text: str) -> LatticeExpr:
     """Parse the textual grammar; parse o print is the identity.
@@ -238,7 +235,6 @@ def _atom_gram(term: Term) -> list[list[int]]:
     # E6 / E7: Bourbaki shape, node 1 hangs off node 3 of the path
     if n == 8:
         return [row[:] for row in _E8_GRAM]
-    g = _path_gram(n)
     # reorder: path is alpha1-alpha3-alpha4-...-alphan; alpha2 attaches to alpha4
     g = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -324,19 +320,6 @@ def gram_from_rows(rows: list[list[int]]) -> GramMatrix:
     return GramMatrix(tuple(tuple(r) for r in g))
 
 
-def direct_sum(a: GramMatrix, b: GramMatrix) -> GramMatrix:
-    n, m = a.rank, b.rank
-    g = [[0] * (n + m) for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            g[i][j] = a.entries[i][j]
-    for i in range(m):
-        for j in range(m):
-            g[n + i][n + j] = b.entries[i][j]
-    return GramMatrix(tuple(tuple(r) for r in g), a.blocks + tuple(
-        Block(bl.label, bl.start + n, bl.size, bl.scale) for bl in b.blocks))
-
-
 # ---------------------------------------------------------------------------
 # signatures
 
@@ -377,11 +360,6 @@ def signature(g: GramMatrix) -> tuple[int, int]:
             a[k][j] = Fraction(0)
             a[j][k] = Fraction(0)
     return pos, neg
-
-
-def is_positive_definite(g: GramMatrix) -> bool:
-    pos, neg = signature(g)
-    return neg == 0
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +463,6 @@ def discriminant_form(g: GramMatrix) -> DiscriminantForm:
                and all(2 * w[i][j] % (t[i] * t[j]) == 0
                        for i in range(k) for j in range(i + 1, k)))
     return DiscriminantForm(group, gens, q_vals, b_vals, integer, g)
-
-
-def two_part_integer(g: GramMatrix) -> bool:
-    return discriminant_form(g).two_part_integer
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,6 @@ class CuspLocalModel:
     def handle(self) -> tuple[int, int]:
         return (self.p, self.q)
 
-    # the coorientation points into the thinner region of the discriminant
-    coorientation: str = "into thinner region"
-
 
 def cusp_local_model(p: int, q: int) -> CuspLocalModel:
     if p < 0 or q < 0:

@@ -4,7 +4,8 @@ A descriptor is RP^n with connected-sum handles S^p x S^q and disjoint
 n-spheres — the closure of everything the classification constructs. Morse
 events transform descriptors only in the supported cases; the propagation
 routine walks the K4-graph and assigns every class its real locus together
-with a justification chain.
+with a justification chain; ``verify`` runs it after the atlas checks and the
+R-wall cusp sweep.
 """
 
 from __future__ import annotations
@@ -12,7 +13,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .atlas import Atlas, Edge, VertexData, VertexId
+from .atlas import (
+    TERMINAL,
+    Atlas,
+    CheckResult,
+    Edge,
+    VertexId,
+    validate_atlas,
+)
 from .walls import CuspVerdict, MoveKind, cusp_stratum
 
 
@@ -197,9 +205,8 @@ def propagate(atlas: Atlas, cusp_results: dict | None = None
     # R-chains: index 1, justified by a cuspidal stratum on the wall
     r_edges = sorted((e for e in atlas.edges if e.move == MoveKind.R),
                      key=lambda e: (e.target.j, e.target.i))
-    exceptional = {VertexId(10, 1), VertexId(2, 1, special=True)}
     for e in r_edges:
-        if e.target in exceptional:
+        if e.target in TERMINAL:
             continue
         v = verdict(e)
         if v.kind != "Yes":
@@ -245,4 +252,37 @@ def propagate(atlas: Atlas, cusp_results: dict | None = None
             raise ValueError(
                 f"{vid}: descriptor (r, d) = ({r}, {d_coord}) does not match "
                 f"lattice values ({vdata.r}, {vdata.d})")
+    return out
+
+
+def r_edge_verdicts(atlas: Atlas) -> dict[tuple[VertexId, VertexId],
+                                          CuspVerdict]:
+    """Cusp verdict of every R-edge, keyed by (source id, target id)."""
+    return {(e.source, e.target): cusp_stratum((atlas.vertex(e.source),
+                                                atlas.vertex(e.target)))
+            for e in atlas.edges if e.move == MoveKind.R}
+
+
+def verify(atlas: Atlas) -> list[CheckResult]:
+    """The atlas checks, then the R-wall cusp verdicts and the propagation.
+
+    Every R-wall carries a cusp ("Yes") except the walls into the terminal
+    classes ("No"); the verdicts are computed once and reused by
+    ``propagate``.
+    """
+    out = validate_atlas(atlas)
+    verdicts = r_edge_verdicts(atlas)
+    bad = []
+    for (s, t), v in verdicts.items():
+        want = "No" if t in TERMINAL else "Yes"
+        if v.kind != want:
+            bad.append(f"{s}-{t}: {v.kind}, expected {want}")
+    out.append(CheckResult("cusp-verdicts", "fail" if bad else "pass",
+                           "; ".join(bad) or "all R-walls as asserted"))
+    try:
+        propagate(atlas, verdicts)
+        out.append(CheckResult("propagation", "pass",
+                               "75 descriptors, invariants consistent"))
+    except ValueError as exc:
+        out.append(CheckResult("propagation", "fail", str(exc)))
     return out

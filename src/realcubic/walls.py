@@ -37,8 +37,9 @@ class MoveKind(enum.Enum):
         return self.value
 
 
-DEFAULT_HEIGHT = 4
-# cap on (2H+1)^rank before the fallback box search is skipped
+# coordinate height H of the fallback box search, and the cap on
+# (2H+1)^rank above which it is skipped
+_SEARCH_HEIGHT = 4
 _SEARCH_BUDGET = 3_000_000
 
 
@@ -95,14 +96,13 @@ def _add(a: Vector, b: Vector, s: int = 1) -> Vector:
     return tuple(x + s * y for x, y in zip(a, b))
 
 
-def find_a2_pair(expr: LatticeExpr, height: int = DEFAULT_HEIGHT
-                 ) -> Optional[A2Certificate]:
+def find_a2_pair(expr: LatticeExpr) -> Optional[A2Certificate]:
     """A pair v1, v2 with v1^2 = v2^2 = 2, v1.v2 = -1, or None.
 
     Constructive certificates from unscaled summands (<2> + U, or a rank >= 2
     root summand) come first; otherwise a bounded box search of coordinate
-    height <= ``height`` runs when the box is small enough. None means no
-    pair was found, not that none exists.
+    height <= 4 runs when the box is small enough. None means no pair was
+    found, not that none exists.
     """
     g = gram(expr)
     rank = g.rank
@@ -131,16 +131,15 @@ def find_a2_pair(expr: LatticeExpr, height: int = DEFAULT_HEIGHT
         if cert.verify(g):
             return cert
     # bounded fallback search, skipped when the coordinate box is too large
-    if (2 * height + 1) ** rank <= _SEARCH_BUDGET:
-        rng = range(-height, height + 1)
+    if (2 * _SEARCH_HEIGHT + 1) ** rank <= _SEARCH_BUDGET:
+        rng = range(-_SEARCH_HEIGHT, _SEARCH_HEIGHT + 1)
         roots = [v for v in itertools.product(rng, repeat=rank)
                  if any(v) and g.norm(v) == 2]
         for a in range(len(roots)):
             for b in range(a + 1, len(roots)):
                 if g.inner(roots[a], roots[b]) == -1:
-                    cert = A2Certificate(roots[a], roots[b],
-                                         f"height-{height} search")
-                    return cert
+                    return A2Certificate(roots[a], roots[b],
+                                         f"height-{_SEARCH_HEIGHT} search")
     return None
 
 
@@ -214,11 +213,10 @@ class CuspVerdict:
         return out
 
 
-def _a2_pairs_with_mod3(expr: LatticeExpr, height: int
-                        ) -> Optional[A2Certificate]:
+def _a2_pairs_with_mod3(expr: LatticeExpr) -> Optional[A2Certificate]:
     """First A2 certificate also satisfying the mod-3 condition."""
     g = gram(expr)
-    cert = find_a2_pair(expr, height)
+    cert = find_a2_pair(expr)
     if cert is None:
         return None
     if mod3_condition(cert.v1, cert.v2, g):
@@ -252,7 +250,7 @@ def _a2_pairs_with_mod3(expr: LatticeExpr, height: int
     return None
 
 
-def cusp_stratum(edge, height: int = DEFAULT_HEIGHT) -> CuspVerdict:
+def cusp_stratum(edge) -> CuspVerdict:
     """Decide whether the wall between two adjacent classes carries a cusp.
 
     ``edge`` is (source VertexData, target VertexData) with the target the
@@ -267,7 +265,7 @@ def cusp_stratum(edge, height: int = DEFAULT_HEIGHT) -> CuspVerdict:
     is_r = dj != 0
     expr = dst.m_minus if is_r else dst.m_plus0
     g = gram(expr)
-    cert = _a2_pairs_with_mod3(expr, height)
+    cert = _a2_pairs_with_mod3(expr)
     if cert is not None:
         assert cert.verify(g) and mod3_condition(cert.v1, cert.v2, g)
         v6 = _add(cert.v1, cert.v2, -1)

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from realcubic.atlas import build_atlas
-from realcubic.topology import propagate
-from realcubic.walls import MoveKind, cusp_stratum
+from realcubic.topology import propagate, r_edge_verdicts
 
 
 @pytest.fixture(scope="session")
@@ -20,12 +19,7 @@ def k3():
 @pytest.fixture(scope="session")
 def cusp_verdicts(k4):
     """Verdicts for every R-edge, keyed by (source id, target id)."""
-    out = {}
-    for e in k4.edges:
-        if e.move == MoveKind.R:
-            out[(e.source, e.target)] = cusp_stratum(
-                (k4.vertex(e.source), k4.vertex(e.target)))
-    return out
+    return r_edge_verdicts(k4)
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+import realcubic.cli
+import realcubic.topology
 from realcubic.atlas import build_atlas
 from realcubic.cli import main
+from realcubic.topology import verify
 
 
 def run(capsys, *argv):
@@ -150,3 +153,55 @@ def test_cusp_check_builds_no_atlas(capsys):
     assert json.loads(out)["edge"] == "C5,3:C5,4"
     after = build_atlas.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_cusp_check_past_refuter_rank_is_unsupported(capsys):
+    # a valid L-edge whose M_+^0 (rank 19) is past the refuter's rank bound
+    code, out, err = run(capsys, "cusp", "check", "--edge", "C8,0:C9,0")
+    assert code == 3 and out == ""
+    assert err.startswith("unsupported: ") and "rank <= 16" in err
+
+
+def test_atlas_verify(capsys):
+    code, out, _ = run(capsys, "atlas", "verify")
+    assert code == 0
+    report = json.loads(out)
+    assert report["failures"] == []
+    assert report["checks"] == [c.to_dict()
+                                for c in verify(build_atlas("K4"))]
+    assert [(c["name"], c["status"]) for c in report["checks"][-2:]] == [
+        ("cusp-verdicts", "pass"), ("propagation", "pass")]
+    # twin-pairs only warns (11 computed, 10 in the prose)
+    assert all(c["status"] != "fail" for c in report["checks"])
+
+
+def test_atlas_verify_sweeps_r_edges_once(capsys, monkeypatch):
+    calls = []
+    original = realcubic.topology.cusp_stratum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in (realcubic.cli, realcubic.topology):
+        monkeypatch.setattr(mod, "cusp_stratum", counting)
+    code, _, _ = run(capsys, "atlas", "verify")
+    assert code == 0
+    assert len(calls) == 62  # one per R-edge
+
+
+@pytest.mark.parametrize("argv", [
+    ["--height", "4", "atlas", "verify"],
+    ["--seed", "0", "atlas", "verify"],
+])
+def test_no_global_options(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_format_default_ignores_environment(capsys, monkeypatch):
+    monkeypatch.setenv("REALCUBIC_FORMAT", "md")
+    code, out, _ = run(capsys, "atlas", "build", "--graph", "k4")
+    assert code == 0
+    assert len(json.loads(out)["vertices"]) == 75

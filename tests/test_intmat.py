@@ -6,7 +6,6 @@ from realcubic.intmat import (
     cokernel,
     det,
     identity,
-    inverse_rational,
     is_unimodular,
     matmul,
     smith_normal_form,
@@ -86,21 +85,6 @@ def test_cokernel_order_equals_det(rng):
             for t in torsion:
                 order *= t
             assert free == 0 and order == abs(d)
-
-
-def test_inverse_rational(rng):
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        m = random_matrix(rng, n, n)
-        if det(m) == 0:
-            continue
-        inv = inverse_rational(m)
-        prod = [[sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)]
-        assert prod == [[1 if i == j else 0 for j in range(n)]
-                        for i in range(n)]
-    with pytest.raises(ValueError):
-        inverse_rational([[1, 2], [2, 4]])
 
 
 def test_identity_and_matmul():
