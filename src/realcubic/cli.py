@@ -31,6 +31,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 
+# largest rank the lattice commands accept, checked before the rank^2 Gram
+# matrix is built; `lattice info "32*E8"` (rank 256) takes about 2 s
+MAX_RANK = 256
+
 
 def _cmd_atlas(args) -> int:
     if args.atlas_cmd == "build":
@@ -58,6 +62,10 @@ def _cmd_lattice(args) -> int:
 
 def _lattice_query(args) -> int:
     expr = parse_lattice_expr(args.expr)
+    if expr.rank > MAX_RANK:
+        print(f"unsupported: rank {expr.rank} exceeds {MAX_RANK}",
+              file=sys.stderr)
+        return EXIT_UNSUPPORTED
     g = gram(expr)
     if args.lattice_cmd == "info":
         df = discriminant_form(g)

@@ -2,9 +2,10 @@
 
 Covers the lattice-expression language of the classification tables
 (A_n, D_n, E6/E7/E8, U, rank-1 <k>, integer rescaling), Gram matrices,
-signatures by exact rational congruence, discriminant groups and finite
-quadratic forms, short-vector enumeration in definite lattices, 6-roots,
-and Picard-Lefschetz reflections.
+signatures by fraction-free (Bareiss) elimination, discriminant groups and
+finite quadratic forms, short-vector enumeration in definite lattices with
+exact integer bounds from the same elimination, 6-roots, and
+Picard-Lefschetz reflections.
 """
 
 from __future__ import annotations
@@ -324,42 +325,46 @@ def gram_from_rows(rows: list[list[int]]) -> GramMatrix:
 # signatures
 
 
-def signature(g: GramMatrix) -> tuple[int, int]:
-    """Inertia (pos, neg) by exact rational congruence diagonalization."""
+def _eliminate(g: GramMatrix) -> tuple[list[int], list[list[int]]]:
+    """Symmetric fraction-free (Bareiss) elimination: (minors D, rows B).
+
+    D_1..D_n are the leading principal minors (D_0 = 1) and B the reduced
+    integer rows, B_kk = D_k: G = R^T diag(D_k / D_{k-1}) R with
+    R_kj = B_kj / D_k for j >= k. Each active entry is a minor (Sylvester's
+    identity), so every division by the previous pivot is exact. A zero
+    pivot is cleared by adding s times row and column j > k to row and
+    column k (s = 1 if 2 a_jk + a_jj != 0, else -1), a congruence that keeps
+    the inertia and whose D and B are returned; no such j means degenerate.
+    """
     n = g.rank
-    a = [[Fraction(x) for x in row] for row in g.entries]
-    pos = neg = 0
+    a = g.rows()
+    minors: list[int] = []
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
-            fixed = False
-            for j in range(k + 1, n):
-                if a[j][k] != 0:
-                    for s in (1, -1):
-                        if a[k][k] + 2 * s * a[j][k] + a[j][j] != 0:
-                            for c in range(k, n):
-                                a[k][c] += s * a[j][c]
-                            for r in range(k, n):
-                                a[r][k] += s * a[r][j]
-                            fixed = True
-                            break
-                    if fixed:
-                        break
-            if not fixed:
+            j = next((j for j in range(k + 1, n) if a[j][k]), None)
+            if j is None:
                 raise DegenerateLatticeError("degenerate Gram matrix")
-        p = a[k][k]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
+            s = 1 if 2 * a[j][k] + a[j][j] else -1
+            for c in range(k, n):
+                a[k][c] += s * a[j][c]
+            for r in range(n):
+                a[r][k] += s * a[r][j]
+        p, rk = a[k][k], a[k]
         for i in range(k + 1, n):
-            if a[i][k]:
-                c = a[i][k] / p
-                for j in range(k, n):
-                    a[i][j] -= c * a[k][j]
-        for j in range(k + 1, n):
-            a[k][j] = Fraction(0)
-            a[j][k] = Fraction(0)
-    return pos, neg
+            ri, c = a[i], a[i][k]
+            for j in range(k + 1, n):
+                ri[j] = (p * ri[j] - c * rk[j]) // prev
+        minors.append(p)
+        prev = p
+    return minors, a
+
+
+def signature(g: GramMatrix) -> tuple[int, int]:
+    """Inertia (pos, neg): neg counts the sign changes along 1, D_1..D_n."""
+    minors, _ = _eliminate(g)
+    neg = sum((p > 0) != (d > 0) for p, d in zip((1, *minors), minors))
+    return g.rank - neg, neg
 
 
 # ---------------------------------------------------------------------------
@@ -472,48 +477,40 @@ def discriminant_form(g: GramMatrix) -> DiscriminantForm:
 def enumerate_norm_vectors(g: GramMatrix, norm: int) -> list[Vector]:
     """All v with v.g.v == norm in a positive definite lattice, sorted.
 
-    Depth-first search with exact rational Cholesky (LDL) bounds.
+    Fincke-Pohst depth-first search in integers: with D, B from _eliminate
+    and y_k = D_k x_k + sum_{j>k} B_kj x_j, v.g.v = sum y_k^2 / (D_{k-1} D_k).
+    Scaled by L = lcm(D_{k-1} D_k), the weights w_k = L / (D_{k-1} D_k) and
+    the remaining norm are integers, so |y_k| <= isqrt(rem // w_k) bounds
+    x_k exactly. Positive definite iff every minor is positive (Sylvester).
     """
     if norm <= 0:
         raise LatticeError("norm must be positive")
-    pos, neg = signature(g)
-    if neg > 0:
+    minors, b = _eliminate(g)
+    if any(d <= 0 for d in minors):
         raise IndefiniteLatticeError(
             "short-vector enumeration requires a positive definite lattice")
     n = g.rank
-    # G = R^T D R with R unit upper triangular
-    d = [Fraction(0)] * n
-    r = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = Fraction(g.entries[i][i]) - sum(d[k] * r[k][i] ** 2 for k in range(i))
-        r[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            r[i][j] = (Fraction(g.entries[i][j])
-                       - sum(d[k] * r[k][i] * r[k][j] for k in range(i))) / d[i]
+    dens = [p * d for p, d in zip((1, *minors), minors)]
+    scale = math.lcm(*dens)
+    w = [scale // q for q in dens]
 
     out: list[Vector] = []
     x = [0] * n
 
-    def dfs(i: int, rem: Fraction) -> None:
-        if i < 0:
+    def dfs(k: int, rem: int) -> None:
+        if k < 0:
             if rem == 0:
                 out.append(tuple(x))
             return
-        c = sum(r[i][j] * x[j] for j in range(i + 1, n))
-        bound = math.sqrt(float(rem / d[i])) if rem > 0 else 0.0
-        lo = math.ceil(float(-c) - bound - 1e-9)
-        hi = math.floor(float(-c) + bound + 1e-9)
-        for xi in range(lo, hi + 1):
-            contrib = d[i] * (xi + c) ** 2
-            if contrib <= rem:
-                x[i] = xi
-                dfs(i - 1, rem - contrib)
-        x[i] = 0
+        d, t = minors[k], sum(b[k][j] * x[j] for j in range(k + 1, n))
+        m = math.isqrt(rem // w[k])
+        for xk in range(-((m + t) // d), (m - t) // d + 1):
+            x[k] = xk
+            y = d * xk + t
+            dfs(k - 1, rem - w[k] * y * y)
 
-    dfs(n - 1, Fraction(norm))
-    out = [v for v in out if any(v)]
-    out.sort()
-    return out
+    dfs(n - 1, scale * norm)
+    return sorted(out)
 
 
 def is_six_root(v: Vector, g: GramMatrix) -> bool:

@@ -41,6 +41,9 @@ class MoveKind(enum.Enum):
 # (2H+1)^rank above which it is skipped
 _SEARCH_HEIGHT = 4
 _SEARCH_BUDGET = 3_000_000
+# largest candidate count the mod-2 refuter pairs: its int64 pairing matrix
+# is then 2 GiB
+_MAX_CANDIDATES = 1 << 14
 
 
 def _plus_gram(vertex: "VertexData") -> GramMatrix:
@@ -183,6 +186,9 @@ def refute_a2_mod2(expr: LatticeExpr) -> Optional[Mod2Refutation]:
     cand = classes[norms % 4 == 2]
     if len(cand) == 0:
         return Mod2Refutation(0, rank)
+    if len(cand) > _MAX_CANDIDATES:
+        raise LatticeError(f"mod-2 refutation limited to {_MAX_CANDIDATES} "
+                           f"candidate classes, got {len(cand)}")
     pairings = cand @ gm @ cand.T
     if np.all(pairings % 2 == 0):
         return Mod2Refutation(len(cand), rank)

@@ -40,6 +40,19 @@ def test_lattice_roots(capsys):
     assert code == 3 and "unsupported" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("info", "99999999999*A1"),
+    ("info", "257*A1"),
+    ("roots", "99999999999*A1", "--norm", "2"),
+    ("roots", "32*E8+<1>", "--norm", "1"),
+])
+def test_lattice_rank_cap(capsys, argv):
+    # checked on the parsed expression, before any Gram matrix is built
+    code, out, err = run(capsys, "lattice", *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("unsupported: rank ") and "exceeds 256" in err
+
+
 def test_atlas_build_json(capsys):
     code, out, _ = run(capsys, "atlas", "build", "--graph", "k4",
                        "--format", "json")
@@ -160,6 +173,14 @@ def test_cusp_check_past_refuter_rank_is_unsupported(capsys):
     code, out, err = run(capsys, "cusp", "check", "--edge", "C8,0:C9,0")
     assert code == 3 and out == ""
     assert err.startswith("unsupported: ") and "rank <= 16" in err
+
+
+def test_cusp_check_past_refuter_candidate_bound_is_unsupported(capsys):
+    # rank 16 with 2^15 candidate classes: the pairing matrix would take
+    # 8 GiB, so the refuter declines before allocating it
+    code, out, err = run(capsys, "cusp", "check", "--edge", "C4,0:C5,0")
+    assert code == 3 and out == ""
+    assert err.startswith("unsupported: ") and "16384 candidate" in err
 
 
 def test_atlas_verify(capsys):
