@@ -109,9 +109,6 @@ def _cmd_cusp(args) -> int:
         source, target = target, source
     try:
         v = cusp_stratum((source, target))
-    except LatticeError as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     except ValueError as exc:
         print(f"bad edge: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -493,6 +493,9 @@ def enumerate_norm_vectors(g: GramMatrix, norm: int) -> list[Vector]:
     dens = [p * d for p, d in zip((1, *minors), minors)]
     scale = math.lcm(*dens)
     w = [scale // q for q in dens]
+    # the nonzero B_kj, j > k: Gram matrices of sums are sparse
+    cols = [[(j, r[j]) for j in range(k + 1, n) if r[j]]
+            for k, r in enumerate(b)]
 
     out: list[Vector] = []
     x = [0] * n
@@ -502,7 +505,7 @@ def enumerate_norm_vectors(g: GramMatrix, norm: int) -> list[Vector]:
             if rem == 0:
                 out.append(tuple(x))
             return
-        d, t = minors[k], sum(b[k][j] * x[j] for j in range(k + 1, n))
+        d, t = minors[k], sum(bkj * x[j] for j, bkj in cols[k])
         m = math.isqrt(rem // w[k])
         for xk in range(-((m + t) // d), (m - t) // d + 1):
             x[k] = xk

@@ -4,13 +4,13 @@ Classifies adjacency moves between coarse deformation classes by the parity
 of a vanishing cycle's pairings, and decides whether a wall carries a
 cuspidal stratum: constructive A2-pair certificates where a suitable direct
 summand exists, a bounded height search as fallback, and a sound mod-2
-residue refutation for the two exceptional walls.
+refutation for the two exceptional walls, decided by the F2 normal form of
+x.x/2 and its Arf invariant (C. Arf, J. reine angew. Math. 183 (1941)).
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -41,9 +41,6 @@ class MoveKind(enum.Enum):
 # (2H+1)^rank above which it is skipped
 _SEARCH_HEIGHT = 4
 _SEARCH_BUDGET = 3_000_000
-# largest candidate count the mod-2 refuter pairs: its int64 pairing matrix
-# is then 2 GiB
-_MAX_CANDIDATES = 1 << 14
 
 
 def _plus_gram(vertex: "VertexData") -> GramMatrix:
@@ -133,15 +130,20 @@ def find_a2_pair(expr: LatticeExpr) -> Optional[A2Certificate]:
         cert = A2Certificate(v1, v2, "<2> + U")
         if cert.verify(g):
             return cert
-    # bounded fallback search, skipped when the coordinate box is too large
+    # bounded fallback search, skipped when the coordinate box is too large;
+    # the box is built in product order, each vector with its square c and G.v
     if (2 * _SEARCH_HEIGHT + 1) ** rank <= _SEARCH_BUDGET:
-        rng = range(-_SEARCH_HEIGHT, _SEARCH_HEIGHT + 1)
-        roots = [v for v in itertools.product(rng, repeat=rank)
-                 if any(v) and g.norm(v) == 2]
-        for a in range(len(roots)):
-            for b in range(a + 1, len(roots)):
-                if g.inner(roots[a], roots[b]) == -1:
-                    return A2Certificate(roots[a], roots[b],
+        e, hs = g.entries, range(-_SEARCH_HEIGHT, _SEARCH_HEIGHT + 1)
+        level = [((), 0, (0,) * rank)]
+        for k in range(rank):
+            level = [((*v, t), c + t * (e[k][k] * t + 2 * p[k]),
+                      tuple(x + t * y for x, y in zip(p, e[k])))
+                     for v, c, p in level for t in hs
+                     if k < rank - 1 or c + t * (e[k][k] * t + 2 * p[k]) == 2]
+        for i, (v1, _, p1) in enumerate(level):
+            for v2, _, _ in level[i + 1:]:
+                if sum(x * y for x, y in zip(p1, v2)) == -1:
+                    return A2Certificate(v1, v2,
                                          f"height-{_SEARCH_HEIGHT} search")
     return None
 
@@ -165,34 +167,46 @@ class Mod2Refutation:
 def refute_a2_mod2(expr: LatticeExpr) -> Optional[Mod2Refutation]:
     """Prove no v1, v2 with squares 2 and pairing -1 exist, or return None.
 
-    Sound but incomplete: sweeps the 2^rank classes of L/2L, keeps those whose
-    representatives have norm = 2 mod 4 (a class invariant, necessary for
-    containing a square-2 vector), and refutes when every candidate pair has
-    even pairing mod 2.
+    Sound but incomplete: refutes when the classes of L/2L of norm
+    Q(x) = x.x = 2 mod 4 (the candidates) pair evenly. They lie in the space
+    U of classes of even norm, where q = Q/2 is an F2 quadratic form with
+    polar form x.y mod 2. Split U = R + W, R the radical and W symplectic of
+    dimension 2k: the candidates pair evenly iff k = 0, or k = 1, q vanishes
+    on R and Arf(q|W) = 0 (C. Arf, J. reine angew. Math. 183 (1941)). They
+    number 2^(dim U - 1) or 0 (q nonzero or zero on R) if k = 0, and
+    2^(dim R) if k = 1.
     """
-    # numpy costs about 0.1 s to import and only this sweep needs it, so
-    # commands that never refute do not pay for it
-    import numpy as np
-
     g = gram(expr)
-    rank = g.rank
-    if rank > 16:
-        raise LatticeError("mod-2 refutation limited to rank <= 16")
-    gm = np.array(g.rows(), dtype=np.int64)
-    # all residue classes as rows of a (2^rank, rank) 0/1 matrix
-    classes = np.array(list(itertools.product((0, 1), repeat=rank)),
-                       dtype=np.int64)
-    norms = np.einsum("ij,jk,ik->i", classes, gm, classes)
-    cand = classes[norms % 4 == 2]
-    if len(cand) == 0:
-        return Mod2Refutation(0, rank)
-    if len(cand) > _MAX_CANDIDATES:
-        raise LatticeError(f"mod-2 refutation limited to {_MAX_CANDIDATES} "
-                           f"candidate classes, got {len(cand)}")
-    pairings = cand @ gm @ cand.T
-    if np.all(pairings % 2 == 0):
-        return Mod2Refutation(len(cand), rank)
-    return None
+    n = g.rank
+    # 0/1 vectors as bitmasks; odd[i] is row i of the Gram matrix mod 2
+    odd = [sum(1 << j for j, e in enumerate(r) if e % 2) for r in g.entries]
+
+    def b(x: int, y: int) -> int:
+        return sum((odd[i] & y).bit_count()
+                   for i in range(n) if x >> i & 1) % 2
+
+    def q(x: int) -> int:
+        return g.norm(tuple(x >> i & 1 for i in range(n))) // 2 % 2
+
+    # basis of U: e_i, plus e_d if e_i has odd norm, d the first such unit
+    d = next((i for i in range(n) if odd[i] >> i & 1), n)
+    basis = [1 << i | (odd[i] >> i & 1) << d for i in range(n) if i != d]
+    dim_u, radical, planes = len(basis), [], []
+    while basis and len(planes) < 2:  # symplectic Gram-Schmidt
+        x = basis.pop()
+        y = next((z for z in basis if b(x, z)), None)
+        if y is None:
+            radical.append(x)
+            continue
+        basis.remove(y)
+        planes.append((x, y))
+        basis = [z ^ x * b(z, y) ^ y * b(z, x) for z in basis]
+    q_on_r = any(q(r) for r in radical)
+    if not planes:
+        return Mod2Refutation(1 << (dim_u - 1) if q_on_r else 0, n)
+    if len(planes) > 1 or q_on_r or q(planes[0][0]) * q(planes[0][1]):
+        return None
+    return Mod2Refutation(1 << len(radical), n)
 
 
 # ---------------------------------------------------------------------------

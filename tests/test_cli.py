@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,19 +172,33 @@ def test_cusp_check_builds_no_atlas(capsys):
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
-def test_cusp_check_past_refuter_rank_is_unsupported(capsys):
-    # a valid L-edge whose M_+^0 (rank 19) is past the refuter's rank bound
-    code, out, err = run(capsys, "cusp", "check", "--edge", "C8,0:C9,0")
-    assert code == 3 and out == ""
-    assert err.startswith("unsupported: ") and "rank <= 16" in err
+@pytest.mark.parametrize("edge", [
+    "C8,0:C9,0",  # M_+^0 of rank 20, past the former refuter's rank bound
+    "C4,0:C5,0",  # rank 16 with 2^15 candidate classes, past its 2^14 bound
+])
+def test_cusp_check_undecided_l_edge_is_unknown(capsys, edge):
+    code, out, err = run(capsys, "cusp", "check", "--edge", edge)
+    assert code == 0 and err == ""
+    assert json.loads(out)["verdict"] == "Unknown"
 
 
-def test_cusp_check_past_refuter_candidate_bound_is_unsupported(capsys):
-    # rank 16 with 2^15 candidate classes: the pairing matrix would take
-    # 8 GiB, so the refuter declines before allocating it
-    code, out, err = run(capsys, "cusp", "check", "--edge", "C4,0:C5,0")
-    assert code == 3 and out == ""
-    assert err.startswith("unsupported: ") and "16384 candidate" in err
+def test_refuting_commands_do_not_load_numpy():
+    script = (
+        "import sys\n"
+        "from realcubic.cli import main\n"
+        "for argv in (['atlas', 'verify'],\n"
+        "             ['cusp', 'check', '--edge', 'C2,0:C2,1_I'],\n"
+        "             ['cusp', 'check', '--edge', 'C8,0:C9,0']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert '"verdict": "No"' in proc.stdout
 
 
 def test_atlas_verify(capsys):

@@ -69,6 +69,33 @@ def test_find_a2_pair_u_none_by_enumeration():
     assert find_a2_pair(parse_lattice_expr("U")) is None
 
 
+def former_box_search(g, height=4):
+    """The first A2 pair of the box in itertools.product order, as
+    find_a2_pair found it before it built squares coordinate by coordinate."""
+    roots = [v for v in itertools.product(range(-height, height + 1),
+                                          repeat=g.rank)
+             if any(v) and g.norm(v) == 2]
+    return next(((a, b) for i, a in enumerate(roots) for b in roots[i + 1:]
+                 if g.inner(a, b) == -1), None)
+
+
+# no constructive certificate, so the search decides; U(3)+2*<2> and
+# U(3)+<1>+<-1>+<2> find a pair, the others none
+@pytest.mark.parametrize("text", [
+    "<2>", "<-2>", "<2>(3)+<-6>", "U(2)+<1>(3)+A1", "A3(2)+<1>(3)",
+    "2*A1(3)+2*<2>", "3*A1+<2>", "U(3)+2*<2>", "U(3)+<1>+<-1>+<2>",
+])
+def test_find_a2_pair_search_matches_former_search(text):
+    expr = parse_lattice_expr(text)
+    g = gram(expr)
+    pair = former_box_search(g)
+    cert = find_a2_pair(expr)
+    if pair is None:
+        assert cert is None
+    else:
+        assert (cert.v1, cert.v2, cert.host) == (*pair, "height-4 search")
+
+
 def test_mod3_condition():
     g = gram(parse_lattice_expr("<2>+U"))
     assert mod3_condition((1, -1, 0), (0, 1, 1), g)
@@ -83,14 +110,16 @@ def test_refuter_refutes(text):
     assert refute_a2_mod2(parse_lattice_expr(text)) is not None
 
 
+# q nonzero on the radical (<2>+U), Arf invariant 1 (A2), two hyperbolic
+# planes (U+D4)
 @pytest.mark.parametrize("text", ["<2>+U", "A2", "U+D4", "<2>+<2>+U"])
 def test_refuter_inconclusive_when_pair_exists(text):
     assert refute_a2_mod2(parse_lattice_expr(text)) is None
 
 
-def test_refuter_rank_bound():
-    with pytest.raises(LatticeError):
-        refute_a2_mod2(parse_lattice_expr("3*E8"))
+def test_refuter_has_no_rank_bound():
+    # rank 24, past the former sweep's rank-16 bound: not refuted
+    assert refute_a2_mod2(parse_lattice_expr("3*E8")) is None
 
 
 def brute_a2_pairs(g, height):
