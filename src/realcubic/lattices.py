@@ -11,7 +11,7 @@ Picard-Lefschetz reflections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .intmat import det, matmul, smith_normal_form
@@ -406,29 +406,27 @@ def discriminant_group(g: GramMatrix) -> DiscriminantGroup:
     return _group(_smith(g)[0])
 
 
-def _mod(x: Fraction, m: int) -> Fraction:
-    return x - m * (x / m).__floor__()
-
-
 @dataclass(frozen=True)
 class DiscriminantForm:
-    group: DiscriminantGroup
-    generators: tuple[tuple[Fraction, ...], ...]  # dual-coset reps, lattice basis coords
-    q_values: tuple[Fraction, ...]                # q(gen) mod 2
-    b_values: tuple[tuple[Fraction, ...], ...]    # b(gen_i, gen_j) mod 1
-    two_part_integer: bool
-    _gram: GramMatrix = field(repr=False, compare=False, default=None)
+    """Discriminant group of a lattice with its finite forms, in integers.
 
-    def q(self, coeffs: tuple[int, ...]) -> Fraction:
-        """q of the element sum(c_i * gen_i), as a rational mod 2."""
-        n = self._gram.rank
-        z = [Fraction(0)] * n
-        for c, gen in zip(coeffs, self.generators):
-            for i in range(n):
-                z[i] += c * gen[i]
-        val = sum(z[i] * self._gram.entries[i][j] * z[j]
-                  for i in range(n) for j in range(n))
-        return _mod(val, 2)
+    Generator i is g_i = v_i / d_i, with v_i = ``generators[i]`` an integer
+    column of V in lattice basis coordinates and d_i the i-th invariant
+    factor; ``w`` is the integer matrix W = V^T G V over those columns, so
+
+        q(g_i) = W_ii / d_i^2 mod 2,    b(g_i, g_j) = W_ij / (d_i d_j) mod 1.
+    """
+
+    group: DiscriminantGroup
+    generators: tuple[Vector, ...]
+    w: tuple[tuple[int, ...], ...]
+    two_part_integer: bool
+
+    @property
+    def q_values(self) -> tuple[Fraction, ...]:
+        """q(g_i) mod 2 as reduced rationals, for display."""
+        return tuple(Fraction(self.w[i][i] % (2 * d * d), d * d)
+                     for i, d in enumerate(self.group.invariant_factors))
 
 
 def discriminant_form(g: GramMatrix) -> DiscriminantForm:
@@ -436,10 +434,8 @@ def discriminant_form(g: GramMatrix) -> DiscriminantForm:
 
     One Smith normal form U*G*V = diag(d) gives everything: the group is
     the sum of Z/d_i over the factors d_i > 1, and g_i = v_i / d_i, with v_i
-    the matching columns of V, generate it (G g_i = U^-1 e_i is integral).
-    With the integer matrix W = V^T G V over those columns,
-
-        q(g_i) = W_ii / d_i^2 mod 2,    b(g_i, g_j) = W_ij / (d_i d_j) mod 1.
+    the matching columns of V, generate it (G g_i = U^-1 e_i is integral);
+    q and b are read off W = V^T G V over those columns.
 
     The 2-primary part is generated by y_i = (d_i / t_i) g_i, where t_i is
     the 2-part of d_i. Since q(x + y) = q(x) + q(y) + 2 b(x, y) exactly, q
@@ -450,24 +446,17 @@ def discriminant_form(g: GramMatrix) -> DiscriminantForm:
     factors, v = _smith(g)
     group = _group(factors)
     cols = [i for i, d in enumerate(factors) if d > 1]
-    orders = group.invariant_factors
     vsel = [[row[i] for i in cols] for row in v]
     vt = [list(c) for c in zip(*vsel)]
     w = matmul(vt, matmul(g.rows(), vsel))
     k = len(cols)
 
-    gens = tuple(tuple(Fraction(x, d) for x in col)
-                 for col, d in zip(vt, orders))
-    q_vals = tuple(_mod(Fraction(w[i][i], orders[i] ** 2), 2)
-                   for i in range(k))
-    b_vals = tuple(tuple(_mod(Fraction(w[i][j], orders[i] * orders[j]), 1)
-                         for j in range(k)) for i in range(k))
-
-    t = [d & -d for d in orders]  # 2-parts of the orders
+    t = [d & -d for d in group.invariant_factors]  # 2-parts of the orders
     integer = (all(w[i][i] % (t[i] * t[i]) == 0 for i in range(k))
                and all(2 * w[i][j] % (t[i] * t[j]) == 0
                        for i in range(k) for j in range(i + 1, k)))
-    return DiscriminantForm(group, gens, q_vals, b_vals, integer, g)
+    return DiscriminantForm(group, tuple(map(tuple, vt)),
+                            tuple(map(tuple, w)), integer)
 
 
 # ---------------------------------------------------------------------------

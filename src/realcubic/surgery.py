@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intmat import Matrix, cokernel, det, identity, matmul
+from .intmat import Matrix, cokernel, identity, matmul
 
 
 @dataclass(frozen=True)

@@ -233,12 +233,8 @@ class CuspVerdict:
         return out
 
 
-def _a2_pairs_with_mod3(expr: LatticeExpr) -> Optional[A2Certificate]:
-    """First A2 certificate also satisfying the mod-3 condition."""
-    g = gram(expr)
-    cert = find_a2_pair(expr)
-    if cert is None:
-        return None
+def _mod3_pair(cert: A2Certificate, g: GramMatrix) -> Optional[A2Certificate]:
+    """``cert`` if it meets the mod-3 condition, else a mixed pair that does."""
     if mod3_condition(cert.v1, cert.v2, g):
         return cert
     # the constructive pair can fail mod 3 (e.g. an isolated A2 block whose
@@ -284,17 +280,22 @@ def cusp_stratum(edge) -> CuspVerdict:
             f"vertices {src.id} and {dst.id} are not adjacent by one move")
     is_r = dj != 0
     expr = dst.m_minus if is_r else dst.m_plus0
+    pair = find_a2_pair(expr)
+    if pair is None:
+        refutation = refute_a2_mod2(expr)
+        if refutation is not None:
+            return CuspVerdict("No", refutation=refutation,
+                               detail=f"no A2 pair embeds in {expr}")
+        return CuspVerdict("Unknown", detail=f"no A2 pair found in {expr}")
+    # an A2 pair exists, so the sound refuter cannot refute
     g = gram(expr)
-    cert = _a2_pairs_with_mod3(expr)
-    if cert is not None:
-        assert cert.verify(g) and mod3_condition(cert.v1, cert.v2, g)
-        v6 = _add(cert.v1, cert.v2, -1)
-        assert g.norm(v6) == 6 and not is_six_root(v6, g)
-        return CuspVerdict("Yes", certificate=cert,
-                           detail=f"A2 pair in {expr} ({cert.host})")
-    refutation = refute_a2_mod2(expr)
-    if refutation is not None:
-        return CuspVerdict("No", refutation=refutation,
-                           detail=f"no A2 pair embeds in {expr}")
-    return CuspVerdict("Unknown",
-                       detail=f"search bound reached for {expr}")
+    cert = _mod3_pair(pair, g)
+    if cert is None:
+        return CuspVerdict(
+            "Unknown", detail=f"A2 pair in {expr} ({pair.host}) fails the "
+            "mod-3 condition, as do the mixed pairs tried")
+    assert cert.verify(g) and mod3_condition(cert.v1, cert.v2, g)
+    v6 = _add(cert.v1, cert.v2, -1)
+    assert g.norm(v6) == 6 and not is_six_root(v6, g)
+    return CuspVerdict("Yes", certificate=cert,
+                       detail=f"A2 pair in {expr} ({cert.host})")

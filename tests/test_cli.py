@@ -182,6 +182,18 @@ def test_cusp_check_undecided_l_edge_is_unknown(capsys, edge):
     assert json.loads(out)["verdict"] == "Unknown"
 
 
+@pytest.mark.parametrize("edge, host", [
+    ("C8,0:C9,0", "<-2>+A1+A2+2*E8"),
+    ("C0,9:C1,9", "<-2>+A2"),
+])
+def test_cusp_check_unknown_says_the_pair_fails_mod3(capsys, edge, host):
+    code, out, err = run(capsys, "cusp", "check", "--edge", edge)
+    assert code == 0 and err == ""
+    assert json.loads(out)["detail"] == (
+        f"A2 pair in {host} (root summand A2) fails the mod-3 condition, "
+        "as do the mixed pairs tried")
+
+
 def test_refuting_commands_do_not_load_numpy():
     script = (
         "import sys\n"

@@ -3,8 +3,9 @@
 The oracle is the direct construction: generators v_i / d_i from the Smith
 normal form, every pairing x^T G y summed in Fractions, and the 2-primary
 part enumerated element by element to decide whether q is integer-valued on
-it. The library reads the same values off the integer matrix V^T G V and
-decides the 2-part by a divisibility criterion instead.
+it. The library keeps the integer columns v_i and the integer matrix
+W = V^T G V, from which the tests read q and b, and decides the 2-part by a
+divisibility criterion instead.
 """
 
 import math
@@ -89,8 +90,16 @@ def oracle_form(g):
 
 def assert_matches_oracle(g, label):
     df = discriminant_form(g)
-    got = (df.group.invariant_factors, df.generators, df.q_values,
-           df.b_values, df.two_part_integer)
+    assert all(type(x) is int for v in df.generators for x in v), label
+    assert all(type(x) is int for row in df.w for x in row), label
+    orders = df.group.invariant_factors
+    gens = tuple(tuple(Fraction(x, d) for x in v)
+                 for v, d in zip(df.generators, orders))
+    # b(g_i, g_j) = W_ij / (d_i d_j) mod 1
+    b_vals = tuple(tuple(_mod(Fraction(x, di * dj), 1)
+                         for x, dj in zip(row, orders))
+                   for row, di in zip(df.w, orders))
+    got = (orders, gens, df.q_values, b_vals, df.two_part_integer)
     assert got == oracle_form(g), label
     assert df.group.two_rank == sum(1 for d in got[0] if d % 2 == 0), label
 

@@ -138,16 +138,26 @@ def test_discriminant_group_order_is_det():
         assert discriminant_group(g).order == abs(g.det())
 
 
+def form_q(g, df, coeffs):
+    """q of sum c_i g_i mod 2, summed from the Gram matrix in Fractions."""
+    z = [sum(Fraction(c * v[r], d) for c, v, d in
+             zip(coeffs, df.generators, df.group.invariant_factors))
+         for r in range(g.rank)]
+    return g.norm(tuple(z)) % 2
+
+
 def test_discriminant_form_examples():
     df = discriminant_form(gram(parse_lattice_expr("<2>")))
     assert str(df.group) == "Z/2"
     assert df.q_values == (Fraction(1, 2),)
     assert not df.two_part_integer
 
-    df = discriminant_form(gram(parse_lattice_expr("U(2)")))
+    g = gram(parse_lattice_expr("U(2)"))
+    df = discriminant_form(g)
     assert str(df.group) == "Z/2 + Z/2"
-    vals = [df.q((1, 0)), df.q((0, 1)), df.q((1, 1))]
+    vals = [form_q(g, df, c) for c in [(1, 0), (0, 1), (1, 1)]]
     assert sorted(vals) == [0, 0, 1]
+    assert sorted(df.q_values) == [0, 0]
     assert df.two_part_integer
 
     df = discriminant_form(gram(parse_lattice_expr("E8(2)")))
@@ -161,17 +171,22 @@ def test_discriminant_form_examples():
 def test_discriminant_form_quadratic_refines_bilinear(rng):
     for text in ["A2", "D4", "E7", "<6>", "U(2)", "<2>+<4>", "E8(2)",
                  "<-2>+A2"]:
-        df = discriminant_form(gram(parse_lattice_expr(text)))
+        g = gram(parse_lattice_expr(text))
+        df = discriminant_form(g)
+        orders = df.group.invariant_factors
         k = len(df.generators)
         for a in range(k):
+            assert form_q(g, df, [int(i == a) for i in range(k)]) \
+                == df.q_values[a]
             for b in range(k):
                 ex = [0] * k
                 ex[a] += 1
                 ey = [0] * k
                 ey[b] += 1
                 exy = [x + y for x, y in zip(ex, ey)]
-                lhs = df.q(tuple(exy)) - df.q(tuple(ex)) - df.q(tuple(ey))
-                rhs = 2 * df.b_values[a][b]
+                lhs = (form_q(g, df, exy) - form_q(g, df, ex)
+                       - form_q(g, df, ey))
+                rhs = 2 * (Fraction(df.w[a][b], orders[a] * orders[b]) % 1)
                 assert (lhs - rhs) % 2 == 0
 
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import realcubic.walls
 from realcubic.atlas import VertexId
 from realcubic.lattices import LatticeError, gram, parse_lattice_expr
 from realcubic.walls import (
@@ -174,3 +175,14 @@ def test_cusp_verdict_serialization(k4):
     d = cusp_stratum((src, dst)).to_dict()
     assert d["verdict"] == "Yes"
     assert {"v1", "v2", "host"} <= set(d["certificate"])
+
+
+def test_cusp_stratum_skips_the_refuter_once_a_pair_is_found(k4, monkeypatch):
+    def refuter(expr):
+        raise AssertionError(f"refuter called on {expr}")
+
+    monkeypatch.setattr(realcubic.walls, "refute_a2_mod2", refuter)
+    src, dst = k4.vertex(VertexId(0, 9)), k4.vertex(VertexId(1, 9))
+    verdict = cusp_stratum((src, dst))
+    assert verdict.kind == "Unknown"
+    assert verdict.detail.startswith("A2 pair in <-2>+A2 (root summand A2)")
