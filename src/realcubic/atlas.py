@@ -15,9 +15,9 @@ from functools import lru_cache
 
 from .lattices import (
     DiscriminantForm,
+    GramMatrix,
     LatticeExpr,
     discriminant_form,
-    discriminant_group,
     gram,
     parse_lattice_expr,
     signature,
@@ -241,7 +241,12 @@ def build_atlas(kind: str = "K4") -> Atlas:
     if kind != "K4":
         raise ValueError(f"unknown graph kind {kind!r}")
     vertices = {vid: table_vertex(vid) for vid in vertex_ids()}
+    return Atlas(kind, vertices, table_edges())
 
+
+def table_edges() -> tuple[Edge, ...]:
+    """The 117 edges: the paper's 12, then the grid's, from the coordinate
+    tables alone (no vertex invariants are computed)."""
     edges: list[Edge] = []
     paper_pairs = set()
     for (src, dst, move) in _PAPER_EDGES:
@@ -257,11 +262,35 @@ def build_atlas(kind: str = "K4") -> Atlas:
             if t in TERMINAL or (s, t) in paper_pairs:
                 continue
             edges.append(Edge(s, t, move, "grid"))
-    return Atlas(kind, vertices, tuple(edges))
+    return tuple(edges)
+
+
+def _two_rank(g: GramMatrix) -> int:
+    """dim A/2A of the discriminant group A of a nondegenerate ``g``.
+
+    That is the number of even Smith factors of G, which is n - rank(G mod 2),
+    found here by elimination over F2 with rows as bitmasks; no Smith normal
+    form is computed. The caller must have ruled out a degenerate ``g`` (as
+    ``signature`` does): there a zero factor is even but counts in no A.
+    """
+    pivots: dict[int, int] = {}  # lowest set bit -> reduced row
+    for r in g.entries:
+        x = sum(1 << j for j, e in enumerate(r) if e % 2)
+        while x:
+            low = x & -x
+            if low not in pivots:
+                pivots[low] = x
+                break
+            x ^= pivots[low]
+    return g.rank - len(pivots)
 
 
 def vertex_invariants(v: VertexData) -> tuple[int, int, int, int, int, int]:
-    """(r, d, i, j, b_star, chi), checked against the stored id."""
+    """(r, d, i, j, b_star, chi), checked against the stored id.
+
+    d is the F2 two-rank of each Gram matrix, a route that shares no Smith
+    normal form with ``table_vertex``, and must equal the table's d.
+    """
     g_plus, g_minus = gram(v.m_plus0), gram(v.m_minus)
     r = g_minus.rank
     if g_plus.rank + r != 22:
@@ -271,11 +300,12 @@ def vertex_invariants(v: VertexData) -> tuple[int, int, int, int, int, int]:
         if sig != (g.rank - 1, 1):
             raise ValueError(f"{v.id}: signature({name}) = {sig}, "
                              f"expected ({g.rank - 1}, 1)")
-    d_plus = discriminant_group(g_plus).two_rank
-    d_minus = discriminant_group(g_minus).two_rank
+    d_plus, d_minus = _two_rank(g_plus), _two_rank(g_minus)
     if d_plus != d_minus:
         raise ValueError(f"{v.id}: two-ranks differ: {d_plus} != {d_minus}")
     d = d_minus
+    if d != v.d:
+        raise ValueError(f"{v.id}: two-rank {d} != the table's {v.d}")
     if (22 - r - d) % 2 or (r - d) % 2:
         raise ValueError(f"{v.id}: (r, d) = ({r}, {d}) gives non-integer (i, j)")
     i, j = (22 - r - d) // 2, (r - d) // 2

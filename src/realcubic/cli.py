@@ -1,13 +1,15 @@
 """Command-line front door.
 
-Exit codes: 0 success, 1 verification/computation failure, 2 usage error,
-3 unsupported request. Runs are bit-reproducible.
+Exit codes: 0 success, 1 verification/computation failure or a stdout
+closed early, 2 usage error, 3 unsupported request. Runs are
+bit-reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import atlas as atlas_mod
@@ -107,6 +109,10 @@ def _cmd_cusp(args) -> int:
     if 11 - sid.i - sid.j < 11 - tid.i - tid.j:
         sid, tid = tid, sid  # lower-d endpoint is the target
         source, target = target, source
+    if not any((e.source, e.target) == (sid, tid)
+               for e in atlas_mod.table_edges()):
+        print(f"{sid}:{tid} is not an atlas edge", file=sys.stderr)
+        return EXIT_USAGE
     try:
         v = cusp_stratum((source, target))
     except ValueError as exc:
@@ -273,7 +279,17 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _DISPATCH[args.cmd](args)
+    try:
+        code = _DISPATCH[args.cmd](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull so the flush
+        # at exit cannot fail again, and exit 1 without a traceback (see
+        # "Note on SIGPIPE" in the Python signal module docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_FAIL
+    return code
 
 
 if __name__ == "__main__":

@@ -71,73 +71,71 @@ def smith_normal_form(m: Matrix) -> tuple[list[int], Matrix, Matrix]:
     u = identity(nr)
     v = identity(nc)
 
-    def row_add(i: int, j: int, c: int) -> None:
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-
-    def col_add(i: int, j: int, c: int) -> None:
-        for r in range(nr):
-            a[r][i] += c * a[r][j]
-        for r in range(nc):
-            v[r][i] += c * v[r][j]
-
-    def row_swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i: int, j: int) -> None:
-        for r in range(nr):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(nc):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def row_neg(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
     t = 0
     while t < min(nr, nc):
-        # smallest-magnitude pivot; re-selected after every reduction pass so
-        # the pivot strictly shrinks and the loop terminates
-        piv = None
+        # smallest-magnitude pivot, the first in row-major order; re-selected
+        # after every reduction pass so the pivot strictly shrinks and the
+        # loop terminates. No entry is smaller than 1, so the scan stops there.
+        piv, best = None, 0
         for i in range(t, nr):
+            ai = a[i]
             for j in range(t, nc):
-                if a[i][j] and (piv is None
-                                or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
+                x = abs(ai[j])
+                if x and (piv is None or x < best):
+                    piv, best = (i, j), x
+                    if x == 1:
+                        break
+            if best == 1:
+                break
         if piv is None:
             break
-        if piv[0] != t:
-            row_swap(piv[0], t)
-        if piv[1] != t:
-            col_swap(piv[1], t)
+        pi, pj = piv
+        if pi != t:
+            a[pi], a[t] = a[t], a[pi]
+            u[pi], u[t] = u[t], u[pi]
+        if pj != t:
+            for row in a:
+                row[pj], row[t] = row[t], row[pj]
+            for row in v:
+                row[pj], row[t] = row[t], row[pj]
 
-        p = a[t][t]
+        at, ut = a[t], u[t]
+        p = at[t]
         clean = True
         for i in range(t + 1, nr):
             if a[i][t]:
-                row_add(i, t, -(a[i][t] // p))
+                c = -(a[i][t] // p)
+                a[i] = [x + c * y for x, y in zip(a[i], at)]
+                u[i] = [x + c * y for x, y in zip(u[i], ut)]
                 if a[i][t]:
                     clean = False
+        # column t stays fixed while the other columns are reduced against
+        # it, so only the rows where it is nonzero change
+        rows = [row for row in a if row[t]]
+        vrows = [row for row in v if row[t]]
         for j in range(t + 1, nc):
-            if a[t][j]:
-                col_add(j, t, -(a[t][j] // p))
-                if a[t][j]:
+            if at[j]:
+                c = -(at[j] // p)
+                for row in rows:
+                    row[j] += c * row[t]
+                for row in vrows:
+                    row[j] += c * row[t]
+                if at[j]:
                     clean = False
         if not clean:
             continue  # leftover remainders are smaller than the pivot
 
-        # divisibility: a[t][t] must divide the remaining block
-        bad = None
-        for i in range(t + 1, nr):
-            if any(a[i][j] % p for j in range(t + 1, nc)):
-                bad = i
-                break
-        if bad is not None:
-            row_add(t, bad, 1)
-            continue
+        # divisibility: a[t][t] must divide the remaining block (a unit does)
+        if p not in (1, -1):
+            bad = next((i for i in range(t + 1, nr)
+                        if any(x % p for x in a[i][t + 1:])), None)
+            if bad is not None:
+                a[t] = [x + y for x, y in zip(at, a[bad])]
+                u[t] = [x + y for x, y in zip(ut, u[bad])]
+                continue
         if p < 0:
-            row_neg(t)
+            a[t] = [-x for x in at]
+            u[t] = [-x for x in ut]
         t += 1
 
     factors = [a[i][i] for i in range(min(nr, nc))]

@@ -274,13 +274,16 @@ class GramMatrix:
 
     def apply(self, v: Vector) -> Vector:
         _check_dim(self, v)
-        return tuple(sum(r[j] * v[j] for j in range(self.rank)) for r in self.entries)
+        nz = [(j, x) for j, x in enumerate(v) if x]
+        return tuple(sum(r[j] * x for j, x in nz) for r in self.entries)
 
     def inner(self, v: Vector, w: Vector) -> int:
+        """v.G.w, summed over the nonzero coordinates of v and w only."""
         _check_dim(self, v)
         _check_dim(self, w)
-        return sum(v[i] * self.entries[i][j] * w[j]
-                   for i in range(self.rank) for j in range(self.rank))
+        nz = [(j, y) for j, y in enumerate(w) if y]
+        return sum(x * sum(self.entries[i][j] * y for j, y in nz)
+                   for i, x in enumerate(v) if x)
 
     def norm(self, v: Vector) -> int:
         return self.inner(v, v)

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+import realcubic.atlas
 from realcubic.atlas import (
     PRINCIPAL_TYPE_ONE,
     VertexId,
@@ -155,3 +157,17 @@ def test_table_vertex_is_the_atlas_vertex(k4):
     for vid in (VertexId(0, 10), VertexId(11, 0), VertexId(0, 0, True)):
         with pytest.raises(KeyError):
             table_vertex(vid)
+
+
+def test_classify_type_rejects_disagreeing_eigenlattices(monkeypatch):
+    # <-2>+9*A1+A2 is type II (q(z/2) = -1/2), U(2)+E8(2) is type I
+    monkeypatch.setitem(realcubic.atlas._TABLE_SPECIAL, (1, 0),
+                        ("<-2>+9*A1+A2", "U(2)+E8(2)"))
+    with pytest.raises(ValueError, match="type verdicts disagree"):
+        table_vertex(VertexId(1, 0, special=True))
+
+
+def test_vertex_invariants_rejects_a_wrong_table_two_rank(k4):
+    v = k4.vertex(VertexId(0, 0))
+    with pytest.raises(ValueError, match="two-rank 11 != the table's 10"):
+        vertex_invariants(dataclasses.replace(v, d=10))

@@ -8,7 +8,7 @@ import pytest
 
 import realcubic.cli
 import realcubic.topology
-from realcubic.atlas import build_atlas
+from realcubic.atlas import build_atlas, table_edges
 from realcubic.cli import main
 from realcubic.topology import verify
 
@@ -170,6 +170,50 @@ def test_cusp_check_builds_no_atlas(capsys):
     assert json.loads(out)["edge"] == "C5,3:C5,4"
     after = build_atlas.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+@pytest.mark.parametrize("edge", [
+    "C1,0_I:C2,0",  # one L-move apart, but a type I class has no lower wall
+    "C2,0:C1,0_I",  # the same pair, lower-d endpoint first
+    "C9,1:C10,1",   # one L-move apart, but not in the table
+    "C1,0:C1,0_I",  # equal d
+])
+def test_cusp_check_rejects_pairs_that_are_not_edges(capsys, edge):
+    code, out, err = run(capsys, "cusp", "check", "--edge", edge)
+    assert code == 2 and out == ""
+    assert err.endswith("is not an atlas edge\n")
+
+
+def test_cusp_check_accepts_every_table_edge(capsys):
+    edges = table_edges()
+    assert len(edges) == 117
+    for e in edges:
+        code, out, err = run(capsys, "cusp", "check", "--edge",
+                             f"{e.source}:{e.target}")
+        assert code == 0 and err == "", (e, err)
+        assert json.loads(out)["edge"] == f"{e.source}:{e.target}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "roots", "2*E8"],  # 480 vectors, more than one buffer
+    ["lattice", "info", "E8"],     # a few lines, written at the flush
+])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails with EPIPE whatever the timing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "realcubic.cli", *argv],
+                              env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "" and proc.returncode == 1
 
 
 @pytest.mark.parametrize("edge", [

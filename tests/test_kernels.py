@@ -1,0 +1,245 @@
+"""Differential tests of the integer kernels on the atlas check path.
+
+The oracles are the former library code, kept as it was: the Smith normal
+form that scanned every entry for its pivot, swept for divisibility after a
+unit pivot and ran column operations over every row; and the dense
+``GramMatrix.inner`` and ``apply``, which multiplied all n^2 entries. The
+library picks the same pivots with less work, so it must return the same
+(factors, U, V), and sums only over nonzero coordinates. The F2 two-rank of
+``vertex_invariants`` is checked against ``discriminant_group``, which reads
+it off the Smith factors. A work-count guard pins the number of Smith normal
+forms the atlas build and its check make.
+"""
+
+import random
+
+import pytest
+
+import realcubic.lattices
+from realcubic.atlas import _two_rank, build_atlas, validate_atlas
+from realcubic.intmat import Matrix, identity, matmul, smith_normal_form
+from realcubic.lattices import (
+    GramMatrix,
+    LatticeError,
+    discriminant_group,
+    gram,
+    gram_from_rows,
+    parse_lattice_expr,
+)
+
+
+def oracle_smith_normal_form(m: Matrix) -> tuple[list[int], Matrix, Matrix]:
+    """Return (factors, U, V) with U*m*V diagonal, U and V unimodular.
+
+    ``factors`` is the full diagonal of length min(rows, cols), nonnegative
+    and in a divisibility chain (trailing zeros for rank deficit).
+    """
+    a = [[int(x) for x in row] for row in m]
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    u = identity(nr)
+    v = identity(nc)
+
+    def row_add(i: int, j: int, c: int) -> None:
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+
+    def col_add(i: int, j: int, c: int) -> None:
+        for r in range(nr):
+            a[r][i] += c * a[r][j]
+        for r in range(nc):
+            v[r][i] += c * v[r][j]
+
+    def row_swap(i: int, j: int) -> None:
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i: int, j: int) -> None:
+        for r in range(nr):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for r in range(nc):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+
+    def row_neg(i: int) -> None:
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(nr, nc):
+        # smallest-magnitude pivot; re-selected after every reduction pass so
+        # the pivot strictly shrinks and the loop terminates
+        piv = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if a[i][j] and (piv is None
+                                or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        if piv[0] != t:
+            row_swap(piv[0], t)
+        if piv[1] != t:
+            col_swap(piv[1], t)
+
+        p = a[t][t]
+        clean = True
+        for i in range(t + 1, nr):
+            if a[i][t]:
+                row_add(i, t, -(a[i][t] // p))
+                if a[i][t]:
+                    clean = False
+        for j in range(t + 1, nc):
+            if a[t][j]:
+                col_add(j, t, -(a[t][j] // p))
+                if a[t][j]:
+                    clean = False
+        if not clean:
+            continue  # leftover remainders are smaller than the pivot
+
+        # divisibility: a[t][t] must divide the remaining block
+        bad = None
+        for i in range(t + 1, nr):
+            if any(a[i][j] % p for j in range(t + 1, nc)):
+                bad = i
+                break
+        if bad is not None:
+            row_add(t, bad, 1)
+            continue
+        if p < 0:
+            row_neg(t)
+        t += 1
+
+    factors = [a[i][i] for i in range(min(nr, nc))]
+    return factors, u, v
+
+
+
+def oracle_apply(g: GramMatrix, v) -> tuple:
+    return tuple(sum(r[j] * v[j] for j in range(g.rank)) for r in g.entries)
+
+
+def oracle_inner(g: GramMatrix, v, w) -> int:
+    return sum(v[i] * g.entries[i][j] * w[j]
+               for i in range(g.rank) for j in range(g.rank))
+
+
+def eigenlattice_grams(k4) -> list[GramMatrix]:
+    """The 150 Gram matrices of the table: M_+^0 and M_- of each class."""
+    return [gram(e) for v in k4.vertices.values()
+            for e in (v.m_plus0, v.m_minus)]
+
+
+def random_matrix(rng, rows, cols, bound):
+    return [[rng.randint(-bound, bound) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def random_symmetric(rng, n):
+    """Entries biased to even values, so that the two-rank varies."""
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.choice((-4, -2, -2, -1, 0, 0, 2, 2, 3, 4))
+    return m
+
+
+def test_snf_matches_oracle_on_the_eigenlattices(k4):
+    grams = eigenlattice_grams(k4)
+    assert len(grams) == 150
+    for g in grams:
+        assert smith_normal_form(g.rows()) == \
+            oracle_smith_normal_form(g.rows())
+
+
+def test_snf_matches_oracle_on_random_matrices():
+    rng = random.Random(16)
+    cases = 0
+    for _ in range(300):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = random_matrix(rng, rows, cols, rng.choice((1, 3, 20)))
+        assert smith_normal_form(m) == oracle_smith_normal_form(m)
+        cases += 1
+    for _ in range(150):
+        # rank at most k < min(rows, cols): a product through Z^k
+        rows, cols = rng.randint(2, 7), rng.randint(2, 7)
+        k = rng.randint(0, min(rows, cols) - 1)
+        m = matmul(random_matrix(rng, rows, k, 4),
+                   random_matrix(rng, k, cols, 4)) if k else \
+            [[0] * cols for _ in range(rows)]
+        factors, u, v = smith_normal_form(m)
+        assert (factors, u, v) == oracle_smith_normal_form(m)
+        assert factors.count(0) >= min(rows, cols) - k
+        cases += 1
+    assert cases == 450
+
+
+def test_snf_examples_match_oracle():
+    for m in ([[2, 0], [0, 2]], [[1, -1, -1], [-1, 3, -1], [-1, -1, 5]],
+              [[0]], [[0, 0, 0]], [[-1]], identity(4), [[6, 4], [4, 6]]):
+        assert smith_normal_form(m) == oracle_smith_normal_form(m)
+
+
+def test_two_rank_matches_discriminant_group_on_the_eigenlattices(k4):
+    for g in eigenlattice_grams(k4):
+        assert _two_rank(g) == discriminant_group(g).two_rank
+
+
+def test_two_rank_matches_discriminant_group_on_random_forms():
+    rng = random.Random(16)
+    seen = set()
+    tried = 0
+    while tried < 200:
+        g = gram_from_rows(random_symmetric(rng, rng.randint(1, 8)))
+        if g.det() == 0:
+            continue
+        tried += 1
+        d = _two_rank(g)
+        assert d == discriminant_group(g).two_rank
+        seen.add(d)
+    assert len(seen) >= 4  # the comparison is not all zeros
+
+
+def test_sparse_inner_and_apply_match_dense_formulas(k4):
+    rng = random.Random(16)
+    grams = eigenlattice_grams(k4) + [
+        gram(parse_lattice_expr(t)) for t in ("A1", "U", "<-2>+A2", "E8")]
+    for g in grams:
+        n = g.rank
+        vectors = [(0,) * n, tuple(1 if i == n - 1 else 0 for i in range(n))]
+        for density in (0.1, 0.5, 1.0):
+            vectors += [tuple(rng.randint(-3, 3) if rng.random() < density
+                              else 0 for _ in range(n)) for _ in range(3)]
+        for v in vectors:
+            assert g.apply(v) == oracle_apply(g, v)
+            for w in vectors:
+                got = g.inner(v, w)
+                assert got == oracle_inner(g, v, w) and type(got) is int
+
+
+def test_sparse_inner_and_apply_check_the_length():
+    g = gram(parse_lattice_expr("A2"))
+    for bad in ((), (0,), (0, 0, 0), (1, 0, 0)):
+        with pytest.raises(LatticeError):
+            g.apply(bad)
+        with pytest.raises(LatticeError):
+            g.inner(bad, (1, 0))
+        with pytest.raises(LatticeError):
+            g.inner((1, 0), bad)
+
+
+def test_smith_normal_form_counts_on_the_atlas_paths(monkeypatch):
+    # a fresh build takes one SNF per eigenlattice in classify_type; the
+    # check (vertex_invariants) gets d over F2 and takes none
+    calls = []
+
+    def counting(m: Matrix):
+        calls.append(len(m))
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(realcubic.lattices, "smith_normal_form", counting)
+    build_atlas.cache_clear()
+    atlas = build_atlas("K4")
+    assert len(calls) == 150
+    calls.clear()
+    validate_atlas(atlas)
+    assert calls == []
