@@ -2,10 +2,11 @@
 
 Classifies adjacency moves between coarse deformation classes by the parity
 of a vanishing cycle's pairings, and decides whether a wall carries a
-cuspidal stratum: constructive A2-pair certificates where a suitable direct
-summand exists, a bounded height search as fallback, and a sound mod-2
-refutation for the two exceptional walls, decided by the F2 normal form of
-x.x/2 and its Arf invariant (C. Arf, J. reine angew. Math. 183 (1941)).
+cuspidal stratum: A2-pair certificates built from named direct summands
+(a root summand or <2> + U, shifted by an isotropic vector of U when the
+pair fails the mod-3 condition), and a sound mod-2 refutation for the two
+exceptional walls, decided by the F2 normal form of x.x/2 and its Arf
+invariant (C. Arf, J. reine angew. Math. 183 (1941)).
 """
 
 from __future__ import annotations
@@ -35,12 +36,6 @@ class MoveKind(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-# coordinate height H of the fallback box search, and the cap on
-# (2H+1)^rank above which it is skipped
-_SEARCH_HEIGHT = 4
-_SEARCH_BUDGET = 3_000_000
 
 
 def _plus_gram(vertex: "VertexData") -> GramMatrix:
@@ -96,13 +91,19 @@ def _add(a: Vector, b: Vector, s: int = 1) -> Vector:
     return tuple(x + s * y for x, y in zip(a, b))
 
 
+def _unscaled_u(g: GramMatrix) -> Optional[tuple[int, int]]:
+    """Coordinates of u1, u2 in the first unscaled U summand, or None."""
+    b = next((b for b in g.blocks if b.scale == 1 and b.label == "U"), None)
+    return None if b is None else (b.start, b.start + 1)
+
+
 def find_a2_pair(expr: LatticeExpr) -> Optional[A2Certificate]:
     """A pair v1, v2 with v1^2 = v2^2 = 2, v1.v2 = -1, or None.
 
-    Constructive certificates from unscaled summands (<2> + U, or a rank >= 2
-    root summand) come first; otherwise a bounded box search of coordinate
-    height <= 4 runs when the box is small enough. None means no pair was
-    found, not that none exists.
+    Only named constructions from unscaled summands are tried: adjacent
+    simple roots of the first A/D/E summand of rank >= 2, else e - u1 and
+    u1 + u2 from a <2> summand and a U. None means neither summand exists,
+    not that no pair does.
     """
     g = gram(expr)
     rank = g.rank
@@ -122,29 +123,14 @@ def find_a2_pair(expr: LatticeExpr) -> Optional[A2Certificate]:
     e_block = next((b for b in g.blocks
                     if b.scale == 1 and b.size == 1
                     and g.entries[b.start][b.start] == 2), None)
-    u_block = next((b for b in g.blocks if b.scale == 1 and b.label == "U"), None)
-    if e_block and u_block:
-        u1, u2 = u_block.start, u_block.start + 1
+    u = _unscaled_u(g)
+    if e_block and u:
+        u1, u2 = u
         v1 = _add(_unit(rank, e_block.start), _unit(rank, u1), -1)
         v2 = _add(_unit(rank, u1), _unit(rank, u2))
         cert = A2Certificate(v1, v2, "<2> + U")
         if cert.verify(g):
             return cert
-    # bounded fallback search, skipped when the coordinate box is too large;
-    # the box is built in product order, each vector with its square c and G.v
-    if (2 * _SEARCH_HEIGHT + 1) ** rank <= _SEARCH_BUDGET:
-        e, hs = g.entries, range(-_SEARCH_HEIGHT, _SEARCH_HEIGHT + 1)
-        level = [((), 0, (0,) * rank)]
-        for k in range(rank):
-            level = [((*v, t), c + t * (e[k][k] * t + 2 * p[k]),
-                      tuple(x + t * y for x, y in zip(p, e[k])))
-                     for v, c, p in level for t in hs
-                     if k < rank - 1 or c + t * (e[k][k] * t + 2 * p[k]) == 2]
-        for i, (v1, _, p1) in enumerate(level):
-            for v2, _, _ in level[i + 1:]:
-                if sum(x * y for x, y in zip(p1, v2)) == -1:
-                    return A2Certificate(v1, v2,
-                                         f"height-{_SEARCH_HEIGHT} search")
     return None
 
 
@@ -234,36 +220,20 @@ class CuspVerdict:
 
 
 def _mod3_pair(cert: A2Certificate, g: GramMatrix) -> Optional[A2Certificate]:
-    """``cert`` if it meets the mod-3 condition, else a mixed pair that does."""
+    """``cert`` if it meets the mod-3 condition, else (v1, v2 - u1), or None.
+
+    Only a root-summand pair can fail (e.g. an isolated A2, whose difference
+    is a 6-root): the <2> + U pair has v1 - v2 pairing with u1 by -1. The
+    root summand is orthogonal to U and u1 is isotropic, so (v1, v2 - u1) is
+    again an A2 pair, and v1 - v2 + u1 pairs with u2 by 1.
+    """
     if mod3_condition(cert.v1, cert.v2, g):
         return cert
-    # the constructive pair can fail mod 3 (e.g. an isolated A2 block whose
-    # difference vector is a 6-root); retry with mixed pairs across summands
-    rank = g.rank
-    candidates = [cert.v1, cert.v2]
-    for b in g.blocks:
-        if b.scale == 1 and b.size == 1 and g.entries[b.start][b.start] == 2:
-            candidates.append(_unit(rank, b.start))
-    u_block = next((b for b in g.blocks if b.scale == 1 and b.label == "U"),
-                   None)
-    if u_block:
-        u1, u2 = u_block.start, u_block.start + 1
-        candidates.append(_add(_unit(rank, u1), _unit(rank, u2)))
-        for e in [c for c in candidates if g.norm(c) == 2]:
-            candidates.append(_add(e, _unit(rank, u1), -1))
-    roots = [c for c in candidates if g.norm(c) == 2]
-    for a in range(len(roots)):
-        for b in range(a + 1, len(roots)):
-            v1, v2 = roots[a], roots[b]
-            p = g.inner(v1, v2)
-            if p == 1:
-                v2 = tuple(-x for x in v2)
-                p = -1
-            if p == -1 and mod3_condition(v1, v2, g):
-                c = A2Certificate(v1, v2, "mixed-summand search")
-                if c.verify(g):
-                    return c
-    return None
+    u = _unscaled_u(g)
+    if u is None:
+        return None
+    return A2Certificate(cert.v1, _add(cert.v2, _unit(g.rank, u[0]), -1),
+                         f"{cert.host}, v2 shifted by -u1 of U")
 
 
 def cusp_stratum(edge) -> CuspVerdict:
@@ -293,7 +263,7 @@ def cusp_stratum(edge) -> CuspVerdict:
     if cert is None:
         return CuspVerdict(
             "Unknown", detail=f"A2 pair in {expr} ({pair.host}) fails the "
-            "mod-3 condition, as do the mixed pairs tried")
+            f"mod-3 condition and {expr} has no unscaled U to shift it by")
     assert cert.verify(g) and mod3_condition(cert.v1, cert.v2, g)
     v6 = _add(cert.v1, cert.v2, -1)
     assert g.norm(v6) == 6 and not is_six_root(v6, g)

@@ -4,6 +4,7 @@ import pytest
 
 from realcubic.atlas import build_atlas
 from realcubic.topology import propagate, r_edge_verdicts
+from realcubic.walls import cusp_stratum
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +21,13 @@ def k3():
 def cusp_verdicts(k4):
     """Verdicts for every R-edge, keyed by (source id, target id)."""
     return r_edge_verdicts(k4)
+
+
+@pytest.fixture(scope="session")
+def edge_verdicts(k4):
+    """Verdicts for all 117 edges, L and R, keyed by edge."""
+    return {e: cusp_stratum((k4.vertex(e.source), k4.vertex(e.target)))
+            for e in k4.edges}
 
 
 @pytest.fixture(scope="session")

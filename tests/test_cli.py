@@ -234,8 +234,8 @@ def test_cusp_check_unknown_says_the_pair_fails_mod3(capsys, edge, host):
     code, out, err = run(capsys, "cusp", "check", "--edge", edge)
     assert code == 0 and err == ""
     assert json.loads(out)["detail"] == (
-        f"A2 pair in {host} (root summand A2) fails the mod-3 condition, "
-        "as do the mixed pairs tried")
+        f"A2 pair in {host} (root summand A2) fails the mod-3 condition "
+        f"and {host} has no unscaled U to shift it by")
 
 
 def test_refuting_commands_do_not_load_numpy():

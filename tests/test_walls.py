@@ -1,12 +1,22 @@
 import itertools
+from collections import Counter
+from typing import Optional
 
 import pytest
 
 import realcubic.walls
 from realcubic.atlas import VertexId
-from realcubic.lattices import LatticeError, gram, parse_lattice_expr
+from realcubic.lattices import (
+    GramMatrix,
+    LatticeError,
+    gram,
+    parse_lattice_expr,
+)
 from realcubic.walls import (
+    A2Certificate,
     MoveKind,
+    _add,
+    _unit,
     classify_move,
     cusp_stratum,
     find_a2_pair,
@@ -71,8 +81,10 @@ def test_find_a2_pair_u_none_by_enumeration():
 
 
 def former_box_search(g, height=4):
-    """The first A2 pair of the box in itertools.product order, as
-    find_a2_pair found it before it built squares coordinate by coordinate."""
+    """The first A2 pair of the height-4 box in itertools.product order: what
+    find_a2_pair's box search returned when no summand construction applied.
+    The search is gone from find_a2_pair because no atlas edge reaches it
+    with a pair (on U it finds none; U+E8(2) is past its budget)."""
     roots = [v for v in itertools.product(range(-height, height + 1),
                                           repeat=g.rank)
              if any(v) and g.norm(v) == 2]
@@ -80,8 +92,9 @@ def former_box_search(g, height=4):
                  if g.inner(a, b) == -1), None)
 
 
-# no constructive certificate, so the search decides; U(3)+2*<2> and
-# U(3)+<1>+<-1>+<2> find a pair, the others none
+# no summand construction applies, so find_a2_pair returns None on all nine;
+# the former box search found a pair on U(3)+2*<2> and U(3)+<1>+<-1>+<2>
+# (no atlas lattice), the others none
 @pytest.mark.parametrize("text", [
     "<2>", "<-2>", "<2>(3)+<-6>", "U(2)+<1>(3)+A1", "A3(2)+<1>(3)",
     "2*A1(3)+2*<2>", "3*A1+<2>", "U(3)+2*<2>", "U(3)+<1>+<-1>+<2>",
@@ -89,12 +102,11 @@ def former_box_search(g, height=4):
 def test_find_a2_pair_search_matches_former_search(text):
     expr = parse_lattice_expr(text)
     g = gram(expr)
+    assert find_a2_pair(expr) is None
     pair = former_box_search(g)
-    cert = find_a2_pair(expr)
-    if pair is None:
-        assert cert is None
-    else:
-        assert (cert.v1, cert.v2, cert.host) == (*pair, "height-4 search")
+    assert (pair is not None) == text.startswith("U(3)+")
+    if pair is not None:
+        assert A2Certificate(*pair, "").verify(g)
 
 
 def test_mod3_condition():
@@ -186,3 +198,84 @@ def test_cusp_stratum_skips_the_refuter_once_a_pair_is_found(k4, monkeypatch):
     verdict = cusp_stratum((src, dst))
     assert verdict.kind == "Unknown"
     assert verdict.detail.startswith("A2 pair in <-2>+A2 (root summand A2)")
+
+
+def _host(k4, e):
+    """The lattice cusp_stratum searches: M_- on R-walls, M_+^0 on L-walls."""
+    t = k4.vertex(e.target)
+    return t.m_minus if e.move == MoveKind.R else t.m_plus0
+
+
+# M_+^0 of the target has an A2 summand and no unscaled U (<-2>+k*A1+A2+...
+# or U(2)+A2+...): the A2 pair fails the mod-3 condition and cannot be shifted
+UNKNOWN_L_EDGES = {
+    "C0,0:C1,0", "C0,0:C1,0_I", "C0,1:C1,1", "C0,2:C1,2", "C0,3:C1,3",
+    "C0,4:C1,4", "C0,5:C1,5", "C0,6:C1,6", "C0,7:C1,7", "C0,8:C1,8",
+    "C0,9:C1,9", "C4,0:C5,0", "C4,1:C5,1", "C4,2:C5,2", "C4,3:C5,3",
+    "C4,4:C5,4", "C4,5:C5,5", "C8,0:C9,0", "C8,0:C9,0_I", "C8,1:C9,1",
+}
+
+
+def test_every_edge_verdict(k4, edge_verdicts):
+    kinds = Counter((e.move, v.kind) for e, v in edge_verdicts.items())
+    assert kinds == {(MoveKind.R, "Yes"): 60, (MoveKind.R, "No"): 2,
+                     (MoveKind.L, "Yes"): 35, (MoveKind.L, "Unknown"): 20}
+    assert {f"{e.source}:{e.target}" for e, v in edge_verdicts.items()
+            if v.kind == "Unknown"} == UNKNOWN_L_EDGES
+    for e, v in edge_verdicts.items():
+        if v.kind == "Yes":
+            g, cert = gram(_host(k4, e)), v.certificate
+            assert cert.verify(g), e
+            assert mod3_condition(cert.v1, cert.v2, g), e
+
+
+def former_mod3_pair(cert: A2Certificate,
+                     g: GramMatrix) -> Optional[A2Certificate]:
+    """``cert`` if it meets the mod-3 condition, else a mixed pair that does."""
+    if mod3_condition(cert.v1, cert.v2, g):
+        return cert
+    # the constructive pair can fail mod 3 (e.g. an isolated A2 block whose
+    # difference vector is a 6-root); retry with mixed pairs across summands
+    rank = g.rank
+    candidates = [cert.v1, cert.v2]
+    for b in g.blocks:
+        if b.scale == 1 and b.size == 1 and g.entries[b.start][b.start] == 2:
+            candidates.append(_unit(rank, b.start))
+    u_block = next((b for b in g.blocks if b.scale == 1 and b.label == "U"),
+                   None)
+    if u_block:
+        u1, u2 = u_block.start, u_block.start + 1
+        candidates.append(_add(_unit(rank, u1), _unit(rank, u2)))
+        for e in [c for c in candidates if g.norm(c) == 2]:
+            candidates.append(_add(e, _unit(rank, u1), -1))
+    roots = [c for c in candidates if g.norm(c) == 2]
+    for a in range(len(roots)):
+        for b in range(a + 1, len(roots)):
+            v1, v2 = roots[a], roots[b]
+            p = g.inner(v1, v2)
+            if p == 1:
+                v2 = tuple(-x for x in v2)
+                p = -1
+            if p == -1 and mod3_condition(v1, v2, g):
+                c = A2Certificate(v1, v2, "mixed-summand search")
+                if c.verify(g):
+                    return c
+    return None
+
+
+def test_shifted_pair_matches_former_retry(k4, edge_verdicts):
+    """On every edge the certificate is the one the former candidate retry
+    chose, and the v2 - u1 shift stands exactly where that retry did."""
+    shifted = 0
+    for e, verdict in edge_verdicts.items():
+        expr = _host(k4, e)
+        pair = find_a2_pair(expr)
+        old = None if pair is None else former_mod3_pair(pair, gram(expr))
+        new = verdict.certificate
+        assert (None if old is None else (old.v1, old.v2)) == (
+            None if new is None else (new.v1, new.v2)), e
+        if new is not None:
+            is_shift = new.host.endswith(", v2 shifted by -u1 of U")
+            assert is_shift == (old.host == "mixed-summand search"), e
+            shifted += is_shift
+    assert shifted == 27
