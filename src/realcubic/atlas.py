@@ -272,16 +272,20 @@ def _two_rank(g: GramMatrix) -> int:
     found here by elimination over F2 with rows as bitmasks; no Smith normal
     form is computed. The caller must have ruled out a degenerate ``g`` (as
     ``signature`` does): there a zero factor is even but counts in no A.
+    A row is read only over its orthogonal component, where all its nonzero
+    entries lie, and rows of different components never share a bit.
     """
     pivots: dict[int, int] = {}  # lowest set bit -> reduced row
-    for r in g.entries:
-        x = sum(1 << j for j, e in enumerate(r) if e % 2)
-        while x:
-            low = x & -x
-            if low not in pivots:
-                pivots[low] = x
-                break
-            x ^= pivots[low]
+    for c in g.components:
+        for i in c:
+            r = g.entries[i]
+            x = sum(1 << j for j in c if r[j] % 2)
+            while x:
+                low = x & -x
+                if low not in pivots:
+                    pivots[low] = x
+                    break
+                x ^= pivots[low]
     return g.rank - len(pivots)
 
 

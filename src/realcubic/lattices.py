@@ -1,8 +1,9 @@
 """Exact arithmetic on integer lattices.
 
 Covers the lattice-expression language of the classification tables
-(A_n, D_n, E6/E7/E8, U, rank-1 <k>, integer rescaling), Gram matrices,
-signatures by fraction-free (Bareiss) elimination, discriminant groups and
+(A_n, D_n, E6/E7/E8, U, rank-1 <k>, integer rescaling), Gram matrices (one
+per expression), signatures and determinants by fraction-free (Bareiss)
+elimination of each orthogonal component, discriminant groups and
 finite quadratic forms, short-vector enumeration in definite lattices with
 exact integer bounds from the same elimination, 6-roots, and
 Picard-Lefschetz reflections.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from .intmat import det, matmul, smith_normal_form
 
@@ -269,8 +271,37 @@ class GramMatrix:
     def rows(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
 
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Index sets of the orthogonal summands of G, each ascending.
+
+        They are the connected components of the nonzero pattern of
+        ``entries`` (not ``blocks``, which need not cover every row), in
+        the order of their least index; a dense G is one component.
+        """
+        seen = [False] * self.rank
+        out = []
+        for s in range(self.rank):
+            if seen[s]:
+                continue
+            seen[s] = True
+            comp, stack = [s], [s]
+            while stack:
+                for j, x in enumerate(self.entries[stack.pop()]):
+                    if x and not seen[j]:
+                        seen[j] = True
+                        comp.append(j)
+                        stack.append(j)
+            out.append(tuple(sorted(comp)))
+        return tuple(out)
+
+    def submatrix(self, idx: tuple[int, ...]) -> list[list[int]]:
+        """Fresh rows of the principal submatrix on the indices ``idx``."""
+        return [[self.entries[i][j] for j in idx] for i in idx]
+
     def det(self) -> int:
-        return det(self.rows())
+        """The product of the determinants of the orthogonal components."""
+        return math.prod(det(self.submatrix(c)) for c in self.components)
 
     def apply(self, v: Vector) -> Vector:
         _check_dim(self, v)
@@ -294,8 +325,13 @@ def _check_dim(g: GramMatrix, v: Vector) -> None:
         raise LatticeError(f"vector length {len(v)} != lattice rank {g.rank}")
 
 
+@lru_cache(maxsize=None)
 def gram(expr: LatticeExpr) -> GramMatrix:
-    """Block-diagonal Gram matrix of the expression, with block layout."""
+    """Block-diagonal Gram matrix of the expression, with block layout.
+
+    Built once per expression: ``LatticeExpr`` is frozen and hashable, and a
+    ``GramMatrix`` holds only tuples, so every caller can share it.
+    """
     blocks: list[Block] = []
     size = expr.rank
     g = [[0] * size for _ in range(size)]
@@ -328,9 +364,10 @@ def gram_from_rows(rows: list[list[int]]) -> GramMatrix:
 # signatures
 
 
-def _eliminate(g: GramMatrix) -> tuple[list[int], list[list[int]]]:
+def _eliminate(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     """Symmetric fraction-free (Bareiss) elimination: (minors D, rows B).
 
+    ``a`` holds the rows of a symmetric G and is reduced in place into B.
     D_1..D_n are the leading principal minors (D_0 = 1) and B the reduced
     integer rows, B_kk = D_k: G = R^T diag(D_k / D_{k-1}) R with
     R_kj = B_kj / D_k for j >= k. Each active entry is a minor (Sylvester's
@@ -339,8 +376,7 @@ def _eliminate(g: GramMatrix) -> tuple[list[int], list[list[int]]]:
     column k (s = 1 if 2 a_jk + a_jj != 0, else -1), a congruence that keeps
     the inertia and whose D and B are returned; no such j means degenerate.
     """
-    n = g.rank
-    a = g.rows()
+    n = len(a)
     minors: list[int] = []
     prev = 1
     for k in range(n):
@@ -364,9 +400,16 @@ def _eliminate(g: GramMatrix) -> tuple[list[int], list[list[int]]]:
 
 
 def signature(g: GramMatrix) -> tuple[int, int]:
-    """Inertia (pos, neg): neg counts the sign changes along 1, D_1..D_n."""
-    minors, _ = _eliminate(g)
-    neg = sum((p > 0) != (d > 0) for p, d in zip((1, *minors), minors))
+    """Inertia (pos, neg), summed over the orthogonal components of G.
+
+    A permutation congruence makes G block diagonal, and inertia adds over
+    an orthogonal sum (Sylvester). On each component neg counts the sign
+    changes along 1, D_1..D_k; a degenerate component makes G degenerate.
+    """
+    neg = 0
+    for c in g.components:
+        minors, _ = _eliminate(g.submatrix(c))
+        neg += sum((p > 0) != (d > 0) for p, d in zip((1, *minors), minors))
     return g.rank - neg, neg
 
 
@@ -477,7 +520,7 @@ def enumerate_norm_vectors(g: GramMatrix, norm: int) -> list[Vector]:
     """
     if norm <= 0:
         raise LatticeError("norm must be positive")
-    minors, b = _eliminate(g)
+    minors, b = _eliminate(g.rows())
     if any(d <= 0 for d in minors):
         raise IndefiniteLatticeError(
             "short-vector enumeration requires a positive definite lattice")

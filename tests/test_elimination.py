@@ -5,12 +5,16 @@ Fractions for the signature, and a Fraction Cholesky (LDL) with a float
 square-root bound for the short-vector search. They are kept as they were,
 except that the enumeration oracle calls the signature oracle. The library
 gets both from one integer (Bareiss) elimination and bounds the search with
-integer square roots.
+integer square roots. The signature eliminates each orthogonal component on
+its own; block-diagonal matrices with their rows and columns permuted, so
+that the components interleave, check the split against the oracle.
 """
 
 import math
 import random
 from fractions import Fraction
+
+import pytest
 
 from realcubic.lattices import (
     DegenerateLatticeError,
@@ -18,6 +22,7 @@ from realcubic.lattices import (
     IndefiniteLatticeError,
     LatticeError,
     Vector,
+    _eliminate,
     enumerate_norm_vectors,
     gram,
     gram_from_rows,
@@ -156,6 +161,110 @@ def random_singular(rng, n):
     return [[sum(e[a][i] * h[a][b] * e[b][j]
                  for a in range(n - 1) for b in range(n - 1))
              for j in range(n)] for i in range(n)]
+
+
+def nondegenerate_block(rng):
+    """One orthogonal summand: U(k), <-k>, an atom of the grammar, or a
+    dense nondegenerate block."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        k = rng.randint(1, 3)
+        return [[0, k], [k, 0]]
+    if kind == 1:
+        return [[-rng.randint(1, 6)]]
+    if kind == 2:
+        return gram(parse_lattice_expr(rng.choice(ATOMS))).rows()
+    while True:
+        rows = random_symmetric(rng, rng.randint(2, 4))
+        if outcome(oracle_signature, gram_from_rows(rows)) is not \
+                DegenerateLatticeError:
+            return rows
+
+
+def interleaved_blocks(rng, degenerate=False):
+    """(rows, parts): a random orthogonal sum of 2-5 summands, one of them
+    singular if ``degenerate``, conjugated by a random permutation; parts
+    lists each summand's indices in the permuted matrix."""
+    blocks = [nondegenerate_block(rng) for _ in range(rng.randint(2, 5))]
+    if degenerate:
+        blocks[rng.randrange(len(blocks))] = rng.choice(
+            ([[0]], [[1, 1], [1, 1]], random_singular(rng, rng.randint(2, 4))))
+    n = sum(len(b) for b in blocks)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    where = {old: new for new, old in enumerate(perm)}
+    full = [[0] * n for _ in range(n)]
+    parts, pos = [], 0
+    for b in blocks:
+        k = len(b)
+        for i in range(k):
+            full[pos + i][pos:pos + k] = b[i]
+        parts.append({where[pos + i] for i in range(k)})
+        pos += k
+    return [[full[i][j] for j in perm] for i in perm], parts
+
+
+def former_signature(g: GramMatrix) -> tuple[int, int]:
+    """The former library signature: one elimination of the whole matrix."""
+    minors, _ = _eliminate(g.rows())
+    neg = sum((p > 0) != (d > 0) for p, d in zip((1, *minors), minors))
+    return g.rank - neg, neg
+
+
+def test_components_refine_the_orthogonal_summands():
+    rng = random.Random(17)
+    for i in range(300):
+        rows, parts = interleaved_blocks(rng, degenerate=i % 3 == 0)
+        comps = gram_from_rows(rows).components
+        assert sorted(j for c in comps for j in c) == list(range(len(rows)))
+        for c in comps:
+            assert list(c) == sorted(c)
+            assert sum(1 for p in parts if set(c) <= p) == 1, (rows, comps)
+            # no entry links a component to the rest
+            assert all(rows[i][j] == 0 for i in c
+                       for j in range(len(rows)) if j not in c)
+        if len(parts) > 1:
+            assert len(comps) >= len(parts)
+
+
+def test_signature_matches_oracle_on_interleaved_components():
+    rng = random.Random(18)
+    seen = {"value": 0, "degenerate": 0, "zero pivot": 0, "negative": 0}
+    for i in range(600):
+        rows, _ = interleaved_blocks(rng, degenerate=i % 4 == 0)
+        g = gram_from_rows(rows)
+        got = outcome(signature, g)
+        assert got == outcome(oracle_signature, g), rows
+        if got is DegenerateLatticeError:
+            with pytest.raises(DegenerateLatticeError,
+                               match="^degenerate Gram matrix$"):
+                signature(g)
+            seen["degenerate"] += 1
+            continue
+        seen["value"] += 1
+        seen["zero pivot"] += any(r[i] == 0 for i, r in enumerate(rows))
+        seen["negative"] += got[1] > 0
+    assert seen["value"] > 300 and seen["degenerate"] >= 150
+    assert seen["zero pivot"] > 30 and seen["negative"] > 200
+
+
+def dense_symmetric(rng, n):
+    """random_symmetric with every zero off the diagonal made 1: one
+    component, the whole matrix."""
+    g = random_symmetric(rng, n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = g[i][j] or 1
+    return g
+
+
+def test_signature_on_one_dense_component_is_unchanged():
+    rng = random.Random(19)
+    for _ in range(500):
+        n = rng.randint(1, 7)
+        g = gram_from_rows(dense_symmetric(rng, n))
+        assert g.components == (tuple(range(n)),)
+        assert outcome(signature, g) == outcome(former_signature, g)
 
 
 def test_signature_matches_oracle_on_atlas_eigenlattices(k4):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from test_elimination import dense_symmetric, interleaved_blocks
 
 from realcubic.intmat import (
     cokernel,
@@ -10,6 +11,7 @@ from realcubic.intmat import (
     matmul,
     smith_normal_form,
 )
+from realcubic.lattices import gram_from_rows
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -45,6 +47,30 @@ def test_det_multiplicative(rng):
         n = rng.randint(1, 4)
         a, b = random_matrix(rng, n, n), random_matrix(rng, n, n)
         assert det(matmul(a, b)) == det(a) * det(b)
+
+
+def test_gram_det_over_interleaved_components_matches_whole_det():
+    # GramMatrix.det multiplies the determinants of the components
+    rng = random.Random(20)
+    zero = 0
+    for i in range(400):
+        rows, _ = interleaved_blocks(rng, degenerate=i % 4 == 0)
+        g = gram_from_rows(rows)
+        assert len(g.components) >= 2
+        d = g.det()
+        assert d == det(rows), rows
+        zero += d == 0
+    assert zero >= 100
+
+
+def test_gram_det_on_one_dense_component_is_unchanged():
+    rng = random.Random(21)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        rows = dense_symmetric(rng, n)
+        g = gram_from_rows(rows)
+        assert g.components == (tuple(range(n)),)
+        assert g.det() == det(rows)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 2), (2, 5), (6, 6)])

@@ -25,6 +25,7 @@ from realcubic.lattices import (
     gram,
     gram_from_rows,
     parse_lattice_expr,
+    signature,
 )
 
 
@@ -227,6 +228,12 @@ def test_sparse_inner_and_apply_check_the_length():
             g.inner((1, 0), bad)
 
 
+def fresh_k4():
+    """A new K4 build that leaves build_atlas's memo, and so the session's
+    k4 and k3 fixtures, as they were."""
+    return build_atlas.__wrapped__("K4")
+
+
 def test_smith_normal_form_counts_on_the_atlas_paths(monkeypatch):
     # a fresh build takes one SNF per eigenlattice in classify_type; the
     # check (vertex_invariants) gets d over F2 and takes none
@@ -237,9 +244,38 @@ def test_smith_normal_form_counts_on_the_atlas_paths(monkeypatch):
         return smith_normal_form(m)
 
     monkeypatch.setattr(realcubic.lattices, "smith_normal_form", counting)
-    build_atlas.cache_clear()
-    atlas = build_atlas("K4")
+    atlas = fresh_k4()
     assert len(calls) == 150
     calls.clear()
     validate_atlas(atlas)
     assert calls == []
+
+
+def test_gram_and_elimination_work_on_the_atlas_paths(monkeypatch):
+    # the build leaves every eigenlattice's Gram matrix in gram's memo, so
+    # the check builds none; signature eliminates one orthogonal component
+    # at a time, and the largest atom, E8, has rank 8
+    atoms, ranks = [], []
+    atom_gram = realcubic.lattices._atom_gram
+    eliminate = realcubic.lattices._eliminate
+
+    def counting_atom_gram(term):
+        atoms.append(term)
+        return atom_gram(term)
+
+    def counting_eliminate(a):
+        ranks.append(len(a))
+        return eliminate(a)
+
+    monkeypatch.setattr(realcubic.lattices, "_atom_gram", counting_atom_gram)
+    monkeypatch.setattr(realcubic.lattices, "_eliminate", counting_eliminate)
+    gram.cache_clear()
+    atlas = fresh_k4()
+    assert atoms  # the build itself made the Gram matrices
+    atoms.clear()
+    validate_atlas(atlas)
+    assert atoms == []
+    assert 8 in ranks and max(ranks) == 8
+    ranks.clear()
+    assert signature(gram(parse_lattice_expr("32*E8"))) == (256, 0)
+    assert ranks == [8] * 32

@@ -85,6 +85,28 @@ def test_gram_blocks():
     assert g.entries[4][4] == 4  # scaled E8 diagonal
 
 
+def test_gram_is_built_once_per_expression(rng):
+    # gram is memoized: equal expressions share one GramMatrix, and nothing
+    # a caller gets from it can change what the next caller sees
+    for text in ["U(2)+A2+E8(2)", "<-2>+10*A1", "E8"] + [
+            random_expr_text(rng) for _ in range(20)]:
+        e = parse_lattice_expr(text)
+        g = gram(e)
+        assert gram(parse_lattice_expr(str(e))) is g
+        fresh = gram.__wrapped__(e)  # built anew, bypassing the memo
+        assert fresh == g and fresh is not g
+        rows = g.rows()
+        assert rows == [list(r) for r in g.entries] and rows is not g.rows()
+        rows[0][0] += 1
+        rows[-1].append(7)
+        rows.append([0])
+        sub = g.submatrix(g.components[0])
+        sub[0][0] -= 1
+        signature(g)
+        g.det()
+        assert gram(e) is g and g == fresh
+
+
 def test_gram_standard_dets():
     for text, d in [("A1", 2), ("A2", 3), ("A3", 4), ("D4", 4), ("D5", 4),
                     ("E6", 3), ("E7", 2), ("E8", 1), ("U", -1), ("<6>", 6),
