@@ -38,6 +38,13 @@ EXIT_UNSUPPORTED = 3
 # (2 vCPU, Python 3.11)
 MAX_RANK = 256
 
+# largest linking matrix `surgery h1 --matrix` accepts, checked before the
+# Smith normal form runs: dense random 32x32 input with entries up to 10^6
+# takes about 2 s, 48x48 with entries up to 1000 about 5 s (2 vCPU,
+# Python 3.11)
+MAX_LINK_SIZE = 32
+MAX_LINK_ENTRY = 10 ** 6
+
 
 def _cmd_atlas(args) -> int:
     if args.atlas_cmd == "build":
@@ -188,6 +195,15 @@ def _cmd_surgery(args) -> int:
         try:
             m = json.loads(args.matrix)
             _check_int_matrix(m)
+            if len(m) > MAX_LINK_SIZE:
+                print(f"unsupported: {len(m)}x{len(m)} matrix exceeds "
+                      f"{MAX_LINK_SIZE}x{MAX_LINK_SIZE}", file=sys.stderr)
+                return EXIT_UNSUPPORTED
+            top = max(abs(x) for row in m for x in row)
+            if top > MAX_LINK_ENTRY:
+                print(f"unsupported: entry of absolute value {top} exceeds "
+                      f"{MAX_LINK_ENTRY}", file=sys.stderr)
+                return EXIT_UNSUPPORTED
             group = surgery_mod.h1_from_linking(m)
         except (json.JSONDecodeError, ValueError, TypeError) as exc:
             print(f"bad --matrix: {exc}", file=sys.stderr)

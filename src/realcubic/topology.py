@@ -158,67 +158,56 @@ class Assignment:
     justification: tuple[str, ...]
 
 
+def _wall_step(e: Edge, options: set[int], index: int) -> str:
+    """The justification line for crossing ``e`` by its index-``index`` facet."""
+    listed = sorted(options)
+    effect = "births S4" if index == 0 else f"adds S{index}xS{4 - index}"
+    if e.move == MoveKind.R:
+        return (f"R-wall {e.source}-{e.target} carries a cuspidal stratum: "
+                "of the adjacent facet pair with indices "
+                f"{{{', '.join(map(str, listed))}}} the index-{index} facet "
+                f"applies; {effect}")
+    chosen = f"index {index} " if len(listed) > 1 else ""
+    return (f"L-wall {e.source}-{e.target} has index "
+            f"{' or '.join(map(str, listed))}; {chosen}{effect}")
+
+
 def propagate(atlas: Atlas, cusp_results: dict | None = None
               ) -> dict[VertexId, Assignment]:
     """Assign a real-locus descriptor to every vertex of the K4 atlas.
 
-    ``cusp_results`` maps (source id, target id) of R-edges to CuspVerdict;
-    verdicts are computed on demand when the map is None or lacks an edge.
+    Every class but the base and the two terminal classes is derived from
+    the one wall into it, its R-wall if it has one and else its L-wall, by
+    the lowest Morse index that wall's facet admits. ``cusp_results`` maps
+    (source id, target id) of R-edges to CuspVerdict; every R-wall crossed
+    needs verdict "Yes". When it is None, ``r_edge_verdicts`` supplies it.
     """
     if cusp_results is None:
-        cusp_results = {}
+        cusp_results = r_edge_verdicts(atlas)
+    into: dict[VertexId, Edge] = {}
+    for e in atlas.edges:
+        if e.target not in TERMINAL and (e.move == MoveKind.R
+                                         or e.target not in into):
+            into[e.target] = e
 
-    def verdict(edge: Edge) -> CuspVerdict:
-        key = (edge.source, edge.target)
-        if key not in cusp_results:
-            cusp_results[key] = cusp_stratum(
-                (atlas.vertex(edge.source), atlas.vertex(edge.target)))
-        return cusp_results[key]
-
-    out: dict[VertexId, Assignment] = {}
-    base = VertexId(0, 0)
-    out[base] = Assignment(RP4, ("base class: real locus RP4",))
-
-    # the birth wall: index 0 toward C1,0_I (index 4 co-direction unused)
-    special_10 = VertexId(1, 0, special=True)
-    idx = facet_index_options(MoveKind.L, base, special_10)
-    assert idx == {0, 4}
-    out[special_10] = Assignment(
-        apply_morse(RP4, MorseEvent(0)),
-        out[base].justification
-        + ("L-wall C0,0-C1,0_I has index 0 or 4; index 0 births S4",))
-
-    # left chain j = 0: index-2 L-moves, trivial core since w2 vanishes
-    for i in range(1, 11):
-        s, t = VertexId(i - 1, 0), VertexId(i, 0)
-        prev = out[s]
-        out[t] = Assignment(
-            apply_morse(prev.descriptor, MorseEvent(2, core_trivial=True)),
-            prev.justification
-            + (f"L-wall {s}-{t} has index 2; adds S2xS2",))
-    s910 = VertexId(9, 0, special=True)
-    prev = out[VertexId(8, 0)]
-    out[s910] = Assignment(
-        apply_morse(prev.descriptor, MorseEvent(2, core_trivial=True)),
-        prev.justification + ("L-wall C8,0-C9,0_I has index 2; adds S2xS2",))
-
-    # R-chains: index 1, justified by a cuspidal stratum on the wall
-    r_edges = sorted((e for e in atlas.edges if e.move == MoveKind.R),
-                     key=lambda e: (e.target.j, e.target.i))
-    for e in r_edges:
-        if e.target in TERMINAL:
-            continue
-        v = verdict(e)
-        if v.kind != "Yes":
-            raise ValueError(f"R-edge {e.source}-{e.target} needs a cusp "
-                             f"verdict Yes, got {v.kind}")
-        prev = out[e.source]
-        out[e.target] = Assignment(
-            apply_morse(prev.descriptor, MorseEvent(1)),
-            prev.justification
-            + (f"R-wall {e.source}-{e.target} carries a cuspidal stratum: "
-               "of the adjacent facet pair with indices {1, 3} the index-1 "
-               "facet applies; adds S1xS3",))
+    out = {VertexId(0, 0): Assignment(RP4, ("base class: real locus RP4",))}
+    # each wall raises i + j by one, so sources come before targets
+    for vid in sorted(into, key=lambda v: v.i + v.j):
+        e = into[vid]
+        prev = out.get(e.source)
+        if prev is None:
+            continue  # a broken chain: reported below as unassigned
+        if e.move == MoveKind.R:
+            v = cusp_results.get((e.source, e.target))
+            kind = v.kind if v else "no verdict"
+            if kind != "Yes":
+                raise ValueError(f"R-edge {e.source}-{e.target} needs a cusp "
+                                 f"verdict Yes, got {kind}")
+        options = facet_index_options(e.move, e.source, e.target)
+        index = min(options)
+        out[vid] = Assignment(
+            apply_morse(prev.descriptor, MorseEvent(index)),
+            prev.justification + (_wall_step(e, options, index),))
 
     # C10,1: the K3 cover has L+ = U, which hosts no A2 pair, so the branch
     # locus collapses through an index-0 event that lifts to index 1 upstairs

@@ -32,7 +32,7 @@ def edge_verdicts(k4):
 
 @pytest.fixture(scope="session")
 def propagation(k4, cusp_verdicts):
-    return propagate(k4, dict(cusp_verdicts))
+    return propagate(k4, cusp_verdicts)
 
 
 @pytest.fixture()

@@ -156,6 +156,43 @@ def test_surgery_h1_rejects_non_integer_matrices(capsys, matrix):
     assert "bad --matrix" in err
 
 
+def _refuse_snf(monkeypatch):
+    def fail(m):
+        raise AssertionError("the Smith normal form ran")
+    monkeypatch.setattr(realcubic.cli.surgery_mod, "h1_from_linking", fail)
+
+
+def test_surgery_h1_refuses_oversized_matrix(capsys, monkeypatch):
+    _refuse_snf(monkeypatch)
+    n = realcubic.cli.MAX_LINK_SIZE + 1
+    matrix = [[int(r == c) for c in range(n)] for r in range(n)]
+    code, out, err = run(capsys, "surgery", "h1", "--matrix",
+                         json.dumps(matrix))
+    assert code == 3 and out == ""
+    assert err.strip() == (f"unsupported: {n}x{n} matrix exceeds "
+                           f"{n - 1}x{n - 1}")
+
+
+def test_surgery_h1_refuses_large_entries(capsys, monkeypatch):
+    _refuse_snf(monkeypatch)
+    top = realcubic.cli.MAX_LINK_ENTRY
+    code, out, err = run(capsys, "surgery", "h1", "--matrix",
+                         f"[[1, 0], [0, {-(top + 1)}]]")
+    assert code == 3 and out == ""
+    assert err.strip() == (f"unsupported: entry of absolute value "
+                           f"{top + 1} exceeds {top}")
+
+
+def test_surgery_h1_accepts_matrix_at_both_limits(capsys):
+    n, top = realcubic.cli.MAX_LINK_SIZE, realcubic.cli.MAX_LINK_ENTRY
+    matrix = [[int(r == c) for c in range(n)] for r in range(n)]
+    matrix[0][0], matrix[n - 1][n - 1] = top, -top
+    code, out, _ = run(capsys, "surgery", "h1", "--matrix",
+                       json.dumps(matrix))
+    assert code == 0
+    assert out.strip() == f"H1 = Z/{top} + Z/{top}"
+
+
 def test_cusp_check_rejects_non_classes(capsys):
     for edge in ("C0,9:C0,10", "C0,0_I:C0,1", "C11,0:C10,0"):
         code, out, err = run(capsys, "cusp", "check", "--edge", edge)
@@ -270,7 +307,9 @@ def test_atlas_verify(capsys):
     assert all(c["status"] != "fail" for c in report["checks"])
 
 
-def test_atlas_verify_sweeps_r_edges_once(capsys, monkeypatch):
+@pytest.fixture()
+def cusp_calls(monkeypatch):
+    """The arguments of every cusp_stratum call the CLI makes."""
     calls = []
     original = realcubic.topology.cusp_stratum
 
@@ -280,9 +319,19 @@ def test_atlas_verify_sweeps_r_edges_once(capsys, monkeypatch):
 
     for mod in (realcubic.cli, realcubic.topology):
         monkeypatch.setattr(mod, "cusp_stratum", counting)
+    return calls
+
+
+def test_atlas_verify_sweeps_r_edges_once(capsys, cusp_calls):
     code, _, _ = run(capsys, "atlas", "verify")
     assert code == 0
-    assert len(calls) == 62  # one per R-edge
+    assert len(cusp_calls) == 62  # one per R-edge
+
+
+def test_topology_table_sweeps_r_edges_once(capsys, cusp_calls):
+    code, _, _ = run(capsys, "topology", "table", "--format", "json")
+    assert code == 0
+    assert len(cusp_calls) == 62  # one per R-edge
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from realcubic.atlas import VertexId
@@ -10,6 +13,8 @@ from realcubic.topology import (
     descriptor_invariants,
     facet_index_options,
     propagate,
+    r_edge_verdicts,
+    verify,
 )
 from realcubic.walls import MoveKind
 
@@ -137,3 +142,94 @@ def test_propagation_requires_yes_verdicts(k4, cusp_verdicts):
     broken[key] = CuspVerdict("Unknown", detail="forced for test")
     with pytest.raises(ValueError):
         propagate(k4, broken)
+    del broken[key]  # a missing verdict is refused the same way
+    with pytest.raises(ValueError, match="C0,0-C0,1 .* got no verdict"):
+        propagate(k4, broken)
+
+
+# one step per wall kind: what crossing the wall adds to the descriptor
+_STEPS = {
+    "L": ("S2xS2", lambda d: d.with_handle(2, 2)),
+    "R": ("S1xS3", lambda d: d.with_handle(1, 3)),
+    "birth": ("S4", lambda d: d.with_sphere()),
+}
+
+
+def test_every_edge_adds_one_step(k4, propagation):
+    added = Counter()
+    for e in k4.edges:
+        kind = ("birth" if e.target == VertexId(1, 0, special=True)
+                else str(e.move))
+        name, step = _STEPS[kind]
+        source = propagation[e.source].descriptor
+        assert propagation[e.target].descriptor == step(source), \
+            f"{e.source}-{e.target}"
+        added[(str(e.move), name)] += 1
+    assert added == {("L", "S2xS2"): 54, ("R", "S1xS3"): 62,
+                     ("L", "S4"): 1}
+
+
+def test_ten_descriptor_twins(k4, propagation):
+    by_coords, by_descriptor = {}, {}
+    for vid in k4.vertices:
+        by_coords.setdefault((vid.i, vid.j), set()).add(vid)
+        by_descriptor.setdefault(propagation[vid].descriptor, set()).add(vid)
+    coordinate_twins = [frozenset(vs) for vs in by_coords.values()
+                        if len(vs) == 2]
+    descriptor_twins = [frozenset(vs) for vs in by_descriptor.values()
+                        if len(vs) > 1]
+    assert len(coordinate_twins) == 11
+    assert len(descriptor_twins) == 10
+    assert set(coordinate_twins) - set(descriptor_twins) == {
+        frozenset({VertexId(1, 0), VertexId(1, 0, special=True)})}
+
+
+def test_propagate_sweeps_r_edges_itself(k4):
+    assert propagate(k4) == propagate(k4, r_edge_verdicts(k4))
+
+
+def test_propagate_leaves_verdicts_unchanged(k4, cusp_verdicts):
+    before = dict(cusp_verdicts)
+    propagate(k4, cusp_verdicts)
+    assert cusp_verdicts == before
+    empty = {}
+    with pytest.raises(ValueError):
+        propagate(k4, empty)
+    assert empty == {}
+
+
+def test_verify_reports_a_broken_wall_chain(k4):
+    cut = (VertexId(0, 0), VertexId(0, 1))
+    a = replace(k4, edges=tuple(e for e in k4.edges
+                                if (e.source, e.target) != cut))
+    checks = {c.name: c for c in verify(a)}
+    assert checks["propagation"].status == "fail"
+    assert checks["propagation"].detail.startswith(
+        "unassigned vertices: ['C0,1', 'C0,2', 'C0,3', 'C0,3_I',")
+
+
+_L_CHAIN = tuple(f"L-wall C{i - 1},0-C{i},0 has index 2; adds S2xS2"
+                 for i in range(1, 11))
+_R_STEP = ("R-wall {} carries a cuspidal stratum: of the adjacent facet "
+           "pair with indices {{1, 3}} the index-1 facet applies; adds S1xS3")
+
+
+@pytest.mark.parametrize("name, chain", [
+    ("C1,0_I", (
+        "L-wall C0,0-C1,0_I has index 0 or 4; index 0 births S4",)),
+    ("C9,0_I", _L_CHAIN[:8] + (
+        "L-wall C8,0-C9,0_I has index 2; adds S2xS2",)),
+    ("C5,4_I", _L_CHAIN[:5] + tuple(
+        _R_STEP.format(w) for w in ("C5,0-C5,1", "C5,1-C5,2", "C5,2-C5,3",
+                                    "C5,3-C5,4_I"))),
+    ("C10,1", _L_CHAIN + (
+        "terminal wall C10,0-C10,1: K3 locus S10 collapses to S10 + S2 "
+        "(L+ = U admits no A2 pair); branch index 0 lifts to index 1; "
+        "adds S1xS3",)),
+    ("C2,1_I", _L_CHAIN[:1] + (
+        "terminal wall C2,0-C2,1_I: the K3 locus gains a torus; the double "
+        "cover gains an unknotted S2xS2 handle plus S1xS3",)),
+])
+def test_full_justification_chains(propagation, name, chain):
+    got = propagation[VertexId.parse(name)].justification
+    assert got == ("base class: real locus RP4",) + chain
