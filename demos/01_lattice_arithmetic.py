@@ -1,4 +1,4 @@
-"""Tour of the lattice layer: expressions, invariants, roots, reflections.
+"""Tour of the lattice layer: expressions, invariants, roots, 6-roots.
 
 Run with: python demos/01_lattice_arithmetic.py
 """
@@ -9,7 +9,6 @@ from realcubic import (
     gram,
     is_six_root,
     parse_lattice_expr,
-    picard_lefschetz,
     signature,
 )
 
@@ -37,8 +36,3 @@ sixes = enumerate_norm_vectors(a2, 6)
 print(f"A2 vectors of square 6: {sixes}")
 print(f"all are 6-roots: {all(is_six_root(v, a2) for v in sixes)}")
 
-# A vanishing cycle v of square 2 acts by the reflection x -> x - (v.x) v.
-v, x = (1, 0), (0, 1)
-rx = picard_lefschetz(v, x, a2)
-print(f"reflection of {x} in {v} inside A2: {rx}")
-print(f"involution: {picard_lefschetz(v, rx, a2) == x}")

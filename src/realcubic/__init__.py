@@ -18,7 +18,6 @@ from .intmat import cokernel, det, smith_normal_form
 from .lattices import (
     AMBIENT_M,
     AMBIENT_M0,
-    POLARIZATION_H,
     DegenerateLatticeError,
     DiscriminantForm,
     DiscriminantGroup,
@@ -32,18 +31,14 @@ from .lattices import (
     gram,
     is_six_root,
     parse_lattice_expr,
-    picard_lefschetz,
     signature,
 )
 from .ramified import (
-    CuspLocalModel,
     PerturbationData,
     add_unknotted_handle,
-    cusp_local_model,
     euler_perturbation,
     handle_counts,
     lift_morse_index,
-    nodal_parameter,
 )
 from .surgery import (
     AbelianGroup,
@@ -55,7 +50,6 @@ from .surgery import (
     lifted_framing,
     slide,
     spiral_scenario,
-    torus_framing,
 )
 from .topology import (
     MorseEvent,

@@ -381,8 +381,7 @@ def validate_atlas(a: Atlas) -> list[CheckResult]:
     check("edge-endpoints", not dangling, f"{len(a.edges)} edges")
     bad_moves = []
     for e in a.edges:
-        di = a.vertices[e.target].id.i - a.vertices[e.source].id.i
-        dj = a.vertices[e.target].id.j - a.vertices[e.source].id.j
+        di, dj = e.target.i - e.source.i, e.target.j - e.source.j
         want = MoveKind.L if (di, dj) == (1, 0) else \
             MoveKind.R if (di, dj) == (0, 1) else None
         if want != e.move:

@@ -5,8 +5,7 @@ Covers the lattice-expression language of the classification tables
 per expression), signatures and determinants by fraction-free (Bareiss)
 elimination of each orthogonal component, discriminant groups and
 finite quadratic forms, short-vector enumeration in definite lattices with
-exact integer bounds from the same elimination, 6-roots, and
-Picard-Lefschetz reflections.
+exact integer bounds from the same elimination, and 6-roots.
 """
 
 from __future__ import annotations
@@ -506,7 +505,7 @@ def discriminant_form(g: GramMatrix) -> DiscriminantForm:
 
 
 # ---------------------------------------------------------------------------
-# short vectors, roots, reflections
+# short vectors and 6-roots
 
 
 def enumerate_norm_vectors(g: GramMatrix, norm: int) -> list[Vector]:
@@ -559,20 +558,10 @@ def is_six_root(v: Vector, g: GramMatrix) -> bool:
     return all(p % 3 == 0 for p in g.apply(v))
 
 
-def picard_lefschetz(v: Vector, x: Vector, g: GramMatrix) -> Vector:
-    """Reflection x -> x - sign(v^2) (v.x) v for a vector of square +-2."""
-    vv = g.norm(v)
-    if vv not in (2, -2):
-        raise LatticeError(f"reflection vector must have square +-2, got {vv}")
-    s = 1 if vv == 2 else -1
-    vx = g.inner(v, x)
-    return tuple(xi - s * vx * vi for xi, vi in zip(x, v))
-
-# ambient middle-cohomology lattice of a cubic fourfold, its primitive part
-# orthogonal to the polarization, and the polarization class h = (1, 1, 1)
-# in the 3<1> block (h.h = 3)
+# ambient middle-cohomology lattice of a cubic fourfold, and its primitive
+# part orthogonal to the polarization h = (1, 1, 1) in the 3<1> block
+# (h.h = 3)
 AMBIENT_M_EXPR = parse_lattice_expr("3*<1>+2*U+2*E8")
 AMBIENT_M = gram(AMBIENT_M_EXPR)
 AMBIENT_M0_EXPR = parse_lattice_expr("A2+2*U+2*E8")
 AMBIENT_M0 = gram(AMBIENT_M0_EXPR)
-POLARIZATION_H: Vector = (1, 1, 1) + (0,) * 20

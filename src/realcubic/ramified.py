@@ -1,18 +1,20 @@
-"""Ramified connected sums, cusp local models, and handle counts.
+"""Ramified connected sums and handle counts.
 
 Double branched covers enter the classification only through a handful of
 computable facts: an Euler-characteristic formula for perturbations, the
-(p, q) local model of a cusp and its facet indices, the index shift from
-branch locus to double cover, the unknotted-handle rule, and the binomial
-handle counts of the higher-dimensional spiral construction.
+index shift from branch locus to double cover, the unknotted-handle rule
+(both used by ``topology.propagate`` on the two terminal walls), and the
+binomial handle counts of the higher-dimensional spiral construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import TYPE_CHECKING
 
-from .topology import RealLocusDescriptor
+if TYPE_CHECKING:
+    from .topology import RealLocusDescriptor
 
 
 @dataclass(frozen=True)
@@ -30,30 +32,6 @@ def euler_perturbation(d: PerturbationData) -> int:
     choice.
     """
     return d.chi_P + 2 * d.chi_P_plus - d.chi_L
-
-
-@dataclass(frozen=True)
-class CuspLocalModel:
-    p: int
-    q: int
-
-    @property
-    def facet_plus_index(self) -> int:  # facet c > 0
-        return self.q
-
-    @property
-    def facet_minus_index(self) -> int:  # facet c < 0
-        return self.p
-
-    @property
-    def handle(self) -> tuple[int, int]:
-        return (self.p, self.q)
-
-
-def cusp_local_model(p: int, q: int) -> CuspLocalModel:
-    if p < 0 or q < 0:
-        raise ValueError("p and q must be nonnegative")
-    return CuspLocalModel(p, q)
 
 
 def lift_morse_index(q: int) -> int:
@@ -78,9 +56,3 @@ def handle_counts(n: int, k: int) -> int:
         raise ValueError(f"index k = {k} out of range for dimension {n}")
     return comb(n + 1, k)
 
-
-def nodal_parameter(n: int, k: int) -> int:
-    """The parameter value t = (n + 1 - 2k)^2 at which the k-handles appear."""
-    if not 0 <= k < (n + 1) / 2:
-        raise ValueError(f"index k = {k} out of range for dimension {n}")
-    return (n + 1 - 2 * k) ** 2

@@ -114,11 +114,6 @@ def presentation_from_linking(m: Matrix) -> GroupPresentation:
     return GroupPresentation(len(m), tuple(tuple(r) for r in m))
 
 
-def torus_framing(p: int, q: int) -> int:
-    """Torus framing of a (p, q)-torus knot."""
-    return p * q
-
-
 def lifted_framing(n: int) -> int:
     """Framing on each lift of K in the double cover of the solid torus."""
     return n - 2

@@ -5,7 +5,10 @@ n-spheres — the closure of everything the classification constructs. Morse
 events transform descriptors only in the supported cases; the propagation
 routine walks the K4-graph and assigns every class its real locus together
 with a justification chain; ``verify`` runs it after the atlas checks and the
-R-wall cusp sweep.
+R-wall cusp sweep. ``facet_index_options`` is the one home of the facet
+indices, and ``r_wall_problem`` the one rule for the R-wall verdicts, which
+both ``propagate`` and ``verify`` apply. The two terminal classes take the
+ramified arguments of ``ramified``, worded from the K3-graph annotations.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .atlas import (
+    _K3_L_PLUS,
+    _K3_REAL_LOCUS,
     TERMINAL,
     Atlas,
     CheckResult,
@@ -21,7 +26,8 @@ from .atlas import (
     VertexId,
     validate_atlas,
 )
-from .walls import CuspVerdict, MoveKind, cusp_stratum
+from .ramified import add_unknotted_handle, lift_morse_index
+from .walls import CuspVerdict, Mod2Refutation, MoveKind, cusp_stratum
 
 
 class UnsupportedMorseError(ValueError):
@@ -179,11 +185,16 @@ def propagate(atlas: Atlas, cusp_results: dict | None = None
     Every class but the base and the two terminal classes is derived from
     the one wall into it, its R-wall if it has one and else its L-wall, by
     the lowest Morse index that wall's facet admits. ``cusp_results`` maps
-    (source id, target id) of R-edges to CuspVerdict; every R-wall crossed
-    needs verdict "Yes". When it is None, ``r_edge_verdicts`` supplies it.
+    (source id, target id) of R-edges to CuspVerdict; every R-wall's verdict
+    must keep ``r_wall_problem``'s rule. When it is None,
+    ``r_edge_verdicts`` supplies it.
     """
     if cusp_results is None:
         cusp_results = r_edge_verdicts(atlas)
+    bad = [r_wall_problem(e, cusp_results.get((e.source, e.target)))
+           for e in atlas.edges if e.move == MoveKind.R]
+    if any(bad):
+        raise ValueError("; ".join(filter(None, bad)))
     into: dict[VertexId, Edge] = {}
     for e in atlas.edges:
         if e.target not in TERMINAL and (e.move == MoveKind.R
@@ -197,46 +208,44 @@ def propagate(atlas: Atlas, cusp_results: dict | None = None
         prev = out.get(e.source)
         if prev is None:
             continue  # a broken chain: reported below as unassigned
-        if e.move == MoveKind.R:
-            v = cusp_results.get((e.source, e.target))
-            kind = v.kind if v else "no verdict"
-            if kind != "Yes":
-                raise ValueError(f"R-edge {e.source}-{e.target} needs a cusp "
-                                 f"verdict Yes, got {kind}")
         options = facet_index_options(e.move, e.source, e.target)
         index = min(options)
         out[vid] = Assignment(
             apply_morse(prev.descriptor, MorseEvent(index)),
             prev.justification + (_wall_step(e, options, index),))
 
-    # C10,1: the K3 cover has L+ = U, which hosts no A2 pair, so the branch
-    # locus collapses through an index-0 event that lifts to index 1 upstairs
-    from .ramified import add_unknotted_handle, lift_morse_index
-    prev = out[VertexId(10, 0)]
-    lifted = lift_morse_index(0)
-    out[VertexId(10, 1)] = Assignment(
-        apply_morse(prev.descriptor, MorseEvent(lifted)),
-        prev.justification
-        + ("terminal wall C10,0-C10,1: K3 locus S10 collapses to S10 + S2 "
-           "(L+ = U admits no A2 pair); branch index 0 lifts to index "
-           f"{lifted}; adds S1xS3",))
+    # C10,1: the K3 cover's L+ hosts no A2 pair (the wall's refuted "No"),
+    # so the branch locus collapses through an index-0 event that lifts to
+    # index 1 upstairs
+    c10_0, c10_1 = VertexId(10, 0), VertexId(10, 1)
+    prev = out.get(c10_0)
+    if prev is not None:
+        lifted = lift_morse_index(0)
+        out[c10_1] = Assignment(
+            apply_morse(prev.descriptor, MorseEvent(lifted)),
+            prev.justification
+            + (f"terminal wall {c10_0}-{c10_1}: K3 locus "
+               f"{_K3_REAL_LOCUS[c10_0]} collapses to "
+               f"{_K3_REAL_LOCUS[c10_1]} (L+ = {_K3_L_PLUS[c10_1]} admits "
+               f"no A2 pair); branch index 0 lifts to index {lifted}; "
+               "adds S1xS3",))
 
     # C2,1_I: ramified sum over the 2-torus K3 locus adds an unknotted
     # (2,2)-handle together with the mandatory S1xS3
-    prev = out[VertexId(1, 0)]
-    out[VertexId(2, 1, special=True)] = Assignment(
-        add_unknotted_handle(prev.descriptor, 2, 2),
-        prev.justification
-        + ("terminal wall C2,0-C2,1_I: the K3 locus gains a torus; the "
-           "double cover gains an unknotted S2xS2 handle plus S1xS3",))
+    prev = out.get(VertexId(1, 0))
+    if prev is not None:
+        out[VertexId(2, 1, special=True)] = Assignment(
+            add_unknotted_handle(prev.descriptor, 2, 2),
+            prev.justification
+            + ("terminal wall C2,0-C2,1_I: the K3 locus gains a torus; the "
+               "double cover gains an unknotted S2xS2 handle plus S1xS3",))
 
     missing = set(atlas.vertices) - set(out)
     if missing:
         raise ValueError(f"unassigned vertices: {sorted(map(str, missing))}")
 
-    for vid, asg in out.items():
-        vdata = atlas.vertex(vid)
-        _, _, r, d_coord, i, j = descriptor_invariants(asg.descriptor)
+    for vid, vdata in atlas.vertices.items():
+        _, _, r, d_coord, i, j = descriptor_invariants(out[vid].descriptor)
         if (r, d_coord) != (vdata.r, vdata.d):
             raise ValueError(
                 f"{vid}: descriptor (r, d) = ({r}, {d_coord}) does not match "
@@ -252,20 +261,46 @@ def r_edge_verdicts(atlas: Atlas) -> dict[tuple[VertexId, VertexId],
             for e in atlas.edges if e.move == MoveKind.R}
 
 
+def r_wall_problem(e: Edge, v: CuspVerdict | None) -> str | None:
+    """How the verdict ``v`` on R-edge ``e`` breaks the R-wall rule, or None.
+
+    A wall into a terminal class carries no cusp: it needs "No" with a mod-2
+    refutation. Every other R-wall carries one and needs "Yes".
+    """
+    want = "No" if e.target in TERMINAL else "Yes"
+    got = v.kind if v else "no verdict"
+    if got == "No" and not isinstance(v.refutation, Mod2Refutation):
+        got = "No without a refutation"
+    if got != want:
+        return (f"R-edge {e.source}-{e.target} needs a cusp verdict {want}, "
+                f"got {got}")
+    return None
+
+
 def verify(atlas: Atlas) -> list[CheckResult]:
     """The atlas checks, then the R-wall cusp verdicts and the propagation.
 
-    Every R-wall carries a cusp ("Yes") except the walls into the terminal
-    classes ("No"); the verdicts are computed once and reused by
+    ``cusp-verdicts`` fails on an R-edge that leaves the atlas or joins
+    classes more than one move apart, and on a verdict that breaks
+    ``r_wall_problem``'s rule. The verdicts are computed once and reused by
     ``propagate``.
     """
     out = validate_atlas(atlas)
-    verdicts = r_edge_verdicts(atlas)
-    bad = []
-    for (s, t), v in verdicts.items():
-        want = "No" if t in TERMINAL else "Yes"
-        if v.kind != want:
-            bad.append(f"{s}-{t}: {v.kind}, expected {want}")
+    verdicts, bad = {}, []
+    for e in atlas.edges:
+        if e.move != MoveKind.R:
+            continue
+        ends = [atlas.vertices.get(x) for x in (e.source, e.target)]
+        if None in ends:
+            bad.append(f"R-edge {e.source}-{e.target} leaves the atlas")
+            continue
+        try:
+            v = verdicts[(e.source, e.target)] = cusp_stratum(ends)
+        except ValueError as exc:  # the endpoints are not one move apart
+            bad.append(f"R-edge {e.source}-{e.target}: {exc}")
+            continue
+        if problem := r_wall_problem(e, v):
+            bad.append(problem)
     out.append(CheckResult("cusp-verdicts", "fail" if bad else "pass",
                            "; ".join(bad) or "all R-walls as asserted"))
     try:

@@ -1,4 +1,5 @@
-"""Every import in a realcubic module is used by that module.
+"""Every import in a realcubic module is used by that module, and every
+top-level name has a caller in ``src/``.
 
 Each ``src/realcubic/*.py`` except ``__init__.py`` (which re-exports) is
 parsed with ``ast``. A name counts as used when it is loaded anywhere in
@@ -60,3 +61,55 @@ def test_string_annotations_count_as_uses():
     tree = ast.parse("from x import A, B\n"
                      "def f(a: 'A') -> 'list[int]':\n    pass\n")
     assert set(imported_names(tree)) - used_names(tree) == {"B"}
+
+
+# top-level names that nothing in src/ loads, each kept for a reason
+UNCALLED = {
+    "intmat.is_unimodular": "test oracle of the SNF contract (criterion 11)",
+    "lattices.gram_from_rows": "test oracle: Gram matrices from raw rows",
+    "lattices.discriminant_group": "test oracle; the benchmark traces it",
+    "lattices.AMBIENT_M": "ROADMAP items 5 and 6 read it",
+    "lattices.AMBIENT_M0": "ROADMAP item 5 reads it",
+    "ramified.handle_counts": "acceptance criterion 10",
+    "surgery.blow_down": "Kirby move, acceptance criterion 8",
+    "surgery.presentation_from_linking": "Kirby helper, demo 05",
+    "walls.classify_move": "ROADMAP item 3 calls it",
+}
+
+
+def definitions(tree: ast.Module):
+    """(name, statement) of each top-level def, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            yield from ((t.id, node) for t in targets
+                        if isinstance(t, ast.Name))
+
+
+def statement_uses(tree: ast.Module):
+    """(statement, names it loads) for each top-level statement; ``mod.x``
+    counts as a use of ``x`` when ``mod`` is a sibling module import."""
+    modules = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module is None
+               for a in node.names}
+    for stmt in tree.body:
+        attrs = {n.attr for n in ast.walk(stmt)
+                 if isinstance(n, ast.Attribute)
+                 and isinstance(n.value, ast.Name) and n.value.id in modules}
+        yield stmt, used_names(stmt) | attrs
+
+
+def test_every_public_name_has_a_caller():
+    trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    uses = [su for tree in trees.values() for su in statement_uses(tree)]
+    uncalled = {f"{mod}.{name}" for mod, tree in trees.items()
+                for name, node in definitions(tree)
+                if not any(name in used for stmt, used in uses
+                           if stmt is not node)}
+    assert uncalled <= set(UNCALLED), \
+        f"no caller in src/: {sorted(uncalled - set(UNCALLED))}"
+    assert set(UNCALLED) <= uncalled, \
+        f"allow-listed but called: {sorted(set(UNCALLED) - uncalled)}"

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -19,7 +18,6 @@ from realcubic.lattices import (
     gram_from_rows,
     is_six_root,
     parse_lattice_expr,
-    picard_lefschetz,
     signature,
 )
 
@@ -273,36 +271,10 @@ def test_six_roots():
     assert len(sixes) == 6 and all(is_six_root(v, a2) for v in sixes)
 
 
-def test_picard_lefschetz_examples():
-    a2 = gram(parse_lattice_expr("A2"))
-    v1, v2 = (1, 0), (0, 1)
-    assert picard_lefschetz(v1, v1, a2) == (-1, 0)
-    assert picard_lefschetz(v1, v2, a2) == (1, 1)
-    g = gram(parse_lattice_expr("<2>+<4>"))
-    assert picard_lefschetz((1, 0), (0, 1), g) == (0, 1)  # orthogonal fixed
-    with pytest.raises(LatticeError):
-        picard_lefschetz((1, 1), (1, 0), g)  # norm 6
-
-
-@pytest.mark.parametrize("text", ["A3", "D4", "E6", "U+A2", "<-2>+3*A1"])
-def test_picard_lefschetz_isometry_involution(text, rng):
-    g = gram(parse_lattice_expr(text))
-    n = g.rank
-    roots = [v for v in itertools.product(range(-2, 3), repeat=n)
-             if g.norm(v) == 2]
-    for _ in range(50):
-        v = rng.choice(roots)
-        x = tuple(rng.randint(-5, 5) for _ in range(n))
-        y = tuple(rng.randint(-5, 5) for _ in range(n))
-        rx, ry = picard_lefschetz(v, x, g), picard_lefschetz(v, y, g)
-        assert picard_lefschetz(v, rx, g) == x
-        assert g.inner(rx, ry) == g.inner(x, y)
-
-
 def test_named_ambient_lattices():
-    from realcubic.lattices import AMBIENT_M, AMBIENT_M0, POLARIZATION_H
+    from realcubic.lattices import AMBIENT_M, AMBIENT_M0
     # the ambient odd lattice 3<1> + 2U + 2E8 and its polarization complement
     assert signature(AMBIENT_M) == (21, 2)
     assert abs(AMBIENT_M.det()) == 1
-    assert AMBIENT_M.norm(POLARIZATION_H) == 3
+    assert AMBIENT_M.norm((1, 1, 1) + (0,) * 20) == 3  # the polarization h
     assert AMBIENT_M0.rank == 22 and signature(AMBIENT_M0) == (20, 2)

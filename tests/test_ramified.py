@@ -5,11 +5,9 @@ import pytest
 from realcubic.ramified import (
     PerturbationData,
     add_unknotted_handle,
-    cusp_local_model,
     euler_perturbation,
     handle_counts,
     lift_morse_index,
-    nodal_parameter,
 )
 from realcubic.topology import RP4, descriptor_invariants
 
@@ -33,25 +31,6 @@ def test_euler_perturbation_linear(rng):
                              a.chi_L + b.chi_L)
         assert euler_perturbation(s) == euler_perturbation(a) \
             + euler_perturbation(b)
-
-
-def test_cusp_local_model():
-    m = cusp_local_model(0, 0)
-    assert m.facet_plus_index == 0 and m.facet_minus_index == 0
-    m = cusp_local_model(2, 3)
-    assert (m.facet_plus_index, m.facet_minus_index) == (3, 2)
-    assert m.handle == (2, 3)
-    with pytest.raises(ValueError):
-        cusp_local_model(-1, 2)
-
-
-def test_cusp_local_model_index_sum_and_parity():
-    for p in range(6):
-        q = 5 - p
-        m = cusp_local_model(p, q)
-        assert m.facet_plus_index + m.facet_minus_index == 5
-        # one facet index is even (an L-facet), the other odd (an R-facet)
-        assert (m.facet_plus_index + m.facet_minus_index) % 2 == 1
 
 
 def test_lift_morse_index():
@@ -94,11 +73,3 @@ def test_handle_counts():
         handle_counts(4, 3)  # 3 >= (4+1)/2
     with pytest.raises(ValueError):
         handle_counts(1, 1)  # 1 >= (1+1)/2
-
-
-def test_nodal_parameter():
-    assert nodal_parameter(4, 0) == 25
-    assert nodal_parameter(4, 1) == 9
-    assert nodal_parameter(4, 2) == 1
-    with pytest.raises(ValueError):
-        nodal_parameter(4, 3)

@@ -12,7 +12,6 @@ from realcubic.surgery import (
     presentation_from_linking,
     slide,
     spiral_scenario,
-    torus_framing,
 )
 
 
@@ -100,9 +99,6 @@ def test_presentation_matches_linking(rng):
 
 
 def test_framings():
-    assert torus_framing(4, 1) == 4
-    assert torus_framing(2, 1) == 2
-    assert torus_framing(1, 1) == 1
     assert lifted_framing(-2) == -4
     assert lifted_framing(0) == -2
     assert lifted_framing(2) == 0

@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from realcubic.atlas import VertexId
+from realcubic import topology
+from realcubic.atlas import Edge, VertexId
 from realcubic.topology import (
     RP4,
     MorseEvent,
@@ -16,7 +17,7 @@ from realcubic.topology import (
     r_edge_verdicts,
     verify,
 )
-from realcubic.walls import MoveKind
+from realcubic.walls import CuspVerdict, MoveKind
 
 
 def test_descriptor_invariants_base_cases():
@@ -138,13 +139,58 @@ def test_justification_chains(propagation):
 def test_propagation_requires_yes_verdicts(k4, cusp_verdicts):
     broken = dict(cusp_verdicts)
     key = (VertexId(0, 0), VertexId(0, 1))
-    from realcubic.walls import CuspVerdict
     broken[key] = CuspVerdict("Unknown", detail="forced for test")
     with pytest.raises(ValueError):
         propagate(k4, broken)
     del broken[key]  # a missing verdict is refused the same way
     with pytest.raises(ValueError, match="C0,0-C0,1 .* got no verdict"):
         propagate(k4, broken)
+
+
+_TERMINAL_WALLS = [(VertexId(10, 0), VertexId(10, 1)),
+                   (VertexId(2, 0), VertexId(2, 1, special=True))]
+
+
+@pytest.mark.parametrize("wall", _TERMINAL_WALLS, ids=lambda w: str(w[1]))
+@pytest.mark.parametrize("forced", [
+    CuspVerdict("Yes", detail="forced for test"),
+    CuspVerdict("No", detail="forced for test: no refutation"),
+], ids=["Yes", "No-without-refutation"])
+def test_terminal_walls_need_a_refuted_no(k4, cusp_verdicts, monkeypatch,
+                                          wall, forced):
+    assert cusp_verdicts[wall].kind == "No"
+    with pytest.raises(ValueError, match=f"{wall[0]}-{wall[1]} needs a cusp "
+                       "verdict No"):
+        propagate(k4, {**cusp_verdicts, wall: forced})
+    real = topology.cusp_stratum
+    monkeypatch.setattr(
+        topology, "cusp_stratum",
+        lambda ends: forced if (ends[0].id, ends[1].id) == wall
+        else real(ends))
+    checks = {c.name: c for c in verify(k4)}
+    assert checks["cusp-verdicts"].status == "fail"
+    assert checks["propagation"].status == "fail"
+    assert f"{wall[0]}-{wall[1]}" in checks["cusp-verdicts"].detail
+
+
+_C03_I, _C53, _C54_I = (VertexId(0, 3, special=True), VertexId(5, 3),
+                        VertexId(5, 4, special=True))
+
+
+@pytest.mark.parametrize("mutate, detail", [
+    (lambda a: replace(a, vertices={v: d for v, d in a.vertices.items()
+                                    if v != _C03_I}),
+     "R-edge C0,2-C0,3_I leaves the atlas"),
+    (lambda a: replace(a, edges=tuple(
+        Edge(e.source, VertexId(4, 4), e.move, e.provenance)
+        if (e.source, e.target) == (_C53, _C54_I) else e for e in a.edges)),
+     "R-edge C5,3-C4,4: vertices C5,3 and C4,4 are not adjacent by one move"),
+], ids=["drop-C0,3_I", "retarget-C5,3-C5,4_I-to-C4,4"])
+def test_verify_reports_a_mutated_table(k4, mutate, detail):
+    checks = {c.name: c for c in verify(mutate(k4))}
+    assert checks["cusp-verdicts"].status == "fail"
+    assert checks["cusp-verdicts"].detail == detail
+    assert checks["propagation"].status == "fail"
 
 
 # one step per wall kind: what crossing the wall adds to the descriptor
