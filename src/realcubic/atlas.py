@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .lattices import (
-    DiscriminantForm,
     GramMatrix,
     LatticeExpr,
-    discriminant_form,
+    Vector,
     gram,
     parse_lattice_expr,
     signature,
+    two_part,
 )
 from .walls import MoveKind
 
@@ -187,20 +187,22 @@ def table2_domain() -> set[tuple[int, int]]:
 
 
 def classify_type(m_plus0: LatticeExpr,
-                  m_minus: LatticeExpr) -> DiscriminantForm:
-    """M_-'s discriminant form, once both eigenlattices agree on the type.
+                  m_minus: LatticeExpr) -> tuple[int, bool]:
+    """(d, type_one): M_-'s two-rank, and the type both eigenlattices give.
 
     The class is type I when q is integer-valued on the 2-primary
-    discriminant part (``two_part_integer``). Both eigenlattices must give
-    the same verdict; disagreement signals a data error.
+    discriminant part. Both come from ``two_part``: d is the sum of the
+    two-ranks of M_-'s components, and each eigenlattice's verdict is the
+    AND of its components' verdicts. Both eigenlattices must give the same
+    verdict; disagreement signals a data error.
     """
-    minus = discriminant_form(gram(m_minus))
-    v_plus = discriminant_form(gram(m_plus0)).two_part_integer
-    if minus.two_part_integer != v_plus:
+    d, v_minus = two_part(gram(m_minus))
+    _, v_plus = two_part(gram(m_plus0))
+    if v_minus != v_plus:
         raise ValueError(
             f"type verdicts disagree for ({m_plus0}, {m_minus}): "
-            f"M+0 says {v_plus}, M- says {minus.two_part_integer}")
-    return minus
+            f"M+0 says {v_plus}, M- says {v_minus}")
+    return d, v_minus
 
 
 def vertex_ids() -> list[VertexId]:
@@ -225,9 +227,8 @@ def table_vertex(vid: VertexId) -> VertexData:
         m_minus = _principal_expr(tpl_m, imax_m - i)
     else:
         raise KeyError(f"{vid} is not a class of the tables")
-    form = classify_type(m_plus0, m_minus)
-    return VertexData(vid, m_plus0, m_minus, m_minus.rank,
-                      form.group.two_rank, form.two_part_integer)
+    d, type_one = classify_type(m_plus0, m_minus)
+    return VertexData(vid, m_plus0, m_minus, m_minus.rank, d, type_one)
 
 
 @lru_cache(maxsize=None)
@@ -265,35 +266,40 @@ def table_edges() -> tuple[Edge, ...]:
     return tuple(edges)
 
 
+@lru_cache(maxsize=None)
+def _block_corank_f2(block: tuple[Vector, ...]) -> int:
+    """n - rank(B mod 2) of one component block B, by elimination over F2
+    with rows as bitmasks."""
+    pivots: dict[int, int] = {}  # lowest set bit -> reduced row
+    for r in block:
+        x = sum(1 << j for j, e in enumerate(r) if e % 2)
+        while x:
+            low = x & -x
+            if low not in pivots:
+                pivots[low] = x
+                break
+            x ^= pivots[low]
+    return len(block) - len(pivots)
+
+
 def _two_rank(g: GramMatrix) -> int:
     """dim A/2A of the discriminant group A of a nondegenerate ``g``.
 
     That is the number of even Smith factors of G, which is n - rank(G mod 2),
-    found here by elimination over F2 with rows as bitmasks; no Smith normal
-    form is computed. The caller must have ruled out a degenerate ``g`` (as
+    summed here over the orthogonal components, each distinct block
+    eliminated over F2 once (``_block_corank_f2``); no Smith normal form is
+    computed. The caller must have ruled out a degenerate ``g`` (as
     ``signature`` does): there a zero factor is even but counts in no A.
-    A row is read only over its orthogonal component, where all its nonzero
-    entries lie, and rows of different components never share a bit.
     """
-    pivots: dict[int, int] = {}  # lowest set bit -> reduced row
-    for c in g.components:
-        for i in c:
-            r = g.entries[i]
-            x = sum(1 << j for j in c if r[j] % 2)
-            while x:
-                low = x & -x
-                if low not in pivots:
-                    pivots[low] = x
-                    break
-                x ^= pivots[low]
-    return g.rank - len(pivots)
+    return sum(_block_corank_f2(b) for b in g.component_blocks)
 
 
 def vertex_invariants(v: VertexData) -> tuple[int, int, int, int, int, int]:
     """(r, d, i, j, b_star, chi), checked against the stored id.
 
-    d is the F2 two-rank of each Gram matrix, a route that shares no Smith
-    normal form with ``table_vertex``, and must equal the table's d.
+    d is the F2 two-rank of each Gram matrix, a route that shares no
+    arithmetic with ``table_vertex`` (only the split into components), and
+    must equal the table's d.
     """
     g_plus, g_minus = gram(v.m_plus0), gram(v.m_minus)
     r = g_minus.rank
@@ -378,7 +384,10 @@ def validate_atlas(a: Atlas) -> list[CheckResult]:
 
     dangling = [e for e in a.edges
                 if e.source not in a.vertices or e.target not in a.vertices]
-    check("edge-endpoints", not dangling, f"{len(a.edges)} edges")
+    check("edge-endpoints", not dangling,
+          f"{len(a.edges)} edges" if not dangling else
+          "dangling: " + ", ".join(f"{e.source}->{e.target}"
+                                   for e in dangling))
     bad_moves = []
     for e in a.edges:
         di, dj = e.target.i - e.source.i, e.target.j - e.source.j

@@ -5,7 +5,9 @@ Covers the lattice-expression language of the classification tables
 per expression), signatures and determinants by fraction-free (Bareiss)
 elimination of each orthogonal component, discriminant groups and
 finite quadratic forms, short-vector enumeration in definite lattices with
-exact integer bounds from the same elimination, and 6-roots.
+exact integer bounds from the same elimination, and 6-roots. Inertia,
+determinant and the 2-part of the discriminant form are computed once per
+distinct component, memoized by its entries, and added up over the sum.
 """
 
 from __future__ import annotations
@@ -294,25 +296,45 @@ class GramMatrix:
             out.append(tuple(sorted(comp)))
         return tuple(out)
 
-    def submatrix(self, idx: tuple[int, ...]) -> list[list[int]]:
-        """Fresh rows of the principal submatrix on the indices ``idx``."""
-        return [[self.entries[i][j] for j in idx] for i in idx]
+    @cached_property
+    def component_blocks(self) -> tuple[tuple[Vector, ...], ...]:
+        """The principal submatrix of each component, as tuples of rows.
+
+        A block is hashable and its key is its content, so the per-block
+        memos below share one result among equal blocks of any lattice.
+        """
+        return tuple(tuple(tuple(self.entries[i][j] for j in c) for i in c)
+                     for c in self.components)
+
+    @cached_property
+    def _sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero (j, G_ij) of each row i of G."""
+        return tuple(tuple((j, x) for j, x in enumerate(r) if x)
+                     for r in self.entries)
 
     def det(self) -> int:
-        """The product of the determinants of the orthogonal components."""
-        return math.prod(det(self.submatrix(c)) for c in self.components)
+        """The product of the determinants of the orthogonal components,
+        one Bareiss elimination per distinct block (``_block_det``)."""
+        return math.prod(_block_det(b) for b in self.component_blocks)
 
     def apply(self, v: Vector) -> Vector:
+        """G.v as the sum of x_j times column j over the nonzero x_j of v;
+        G is symmetric, so column j is the sparse row j."""
         _check_dim(self, v)
-        nz = [(j, x) for j, x in enumerate(v) if x]
-        return tuple(sum(r[j] * x for j, x in nz) for r in self.entries)
+        out = [0] * self.rank
+        rows = self._sparse_rows
+        for j, x in enumerate(v):
+            if x:
+                for i, e in rows[j]:
+                    out[i] += e * x
+        return tuple(out)
 
     def inner(self, v: Vector, w: Vector) -> int:
-        """v.G.w, summed over the nonzero coordinates of v and w only."""
+        """v.G.w, summed over the nonzero v_i and the nonzero G_ij only."""
         _check_dim(self, v)
         _check_dim(self, w)
-        nz = [(j, y) for j, y in enumerate(w) if y]
-        return sum(x * sum(self.entries[i][j] * y for j, y in nz)
+        rows = self._sparse_rows
+        return sum(x * sum(e * w[j] for j, e in rows[i])
                    for i, x in enumerate(v) if x)
 
     def norm(self, v: Vector) -> int:
@@ -398,17 +420,29 @@ def _eliminate(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     return minors, a
 
 
+@lru_cache(maxsize=None)
+def _block_inertia(block: tuple[Vector, ...]) -> tuple[int, int]:
+    """Inertia (pos, neg) of one component: neg counts the sign changes
+    along 1, D_1..D_k of its elimination."""
+    minors, _ = _eliminate([list(r) for r in block])
+    neg = sum((p > 0) != (d > 0) for p, d in zip((1, *minors), minors))
+    return len(block) - neg, neg
+
+
+@lru_cache(maxsize=None)
+def _block_det(block: tuple[Vector, ...]) -> int:
+    return det([list(r) for r in block])
+
+
 def signature(g: GramMatrix) -> tuple[int, int]:
     """Inertia (pos, neg), summed over the orthogonal components of G.
 
     A permutation congruence makes G block diagonal, and inertia adds over
-    an orthogonal sum (Sylvester). On each component neg counts the sign
-    changes along 1, D_1..D_k; a degenerate component makes G degenerate.
+    an orthogonal sum (Sylvester). Each distinct component block is
+    eliminated once (``_block_inertia``); a degenerate component makes G
+    degenerate, and raises on every call.
     """
-    neg = 0
-    for c in g.components:
-        minors, _ = _eliminate(g.submatrix(c))
-        neg += sum((p > 0) != (d > 0) for p, d in zip((1, *minors), minors))
+    neg = sum(_block_inertia(b)[1] for b in g.component_blocks)
     return g.rank - neg, neg
 
 
@@ -502,6 +536,25 @@ def discriminant_form(g: GramMatrix) -> DiscriminantForm:
                        for i in range(k) for j in range(i + 1, k)))
     return DiscriminantForm(group, tuple(map(tuple, vt)),
                             tuple(map(tuple, w)), integer)
+
+
+@lru_cache(maxsize=None)
+def _block_two_part(block: tuple[Vector, ...]) -> tuple[int, bool]:
+    form = discriminant_form(GramMatrix(block))
+    return form.group.two_rank, form.two_part_integer
+
+
+def two_part(g: GramMatrix) -> tuple[int, bool]:
+    """(two_rank, two_part_integer) of G's discriminant form, from its
+    components: one Smith normal form per distinct block (``_block_two_part``).
+
+    The discriminant form of an orthogonal sum is the orthogonal sum of the
+    forms (Nikulin 1980, §1), so the two-ranks add up; b vanishes between
+    summands, so q(x + y) = q(x) + q(y) there, and q is integer-valued on the
+    2-primary part iff it is on each summand's.
+    """
+    parts = [_block_two_part(b) for b in g.component_blocks]
+    return sum(d for d, _ in parts), all(t for _, t in parts)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,13 @@ from realcubic.atlas import (
     vertex_ids,
     vertex_invariants,
 )
-from realcubic.lattices import discriminant_group, gram, signature
+from realcubic.lattices import (
+    discriminant_form,
+    discriminant_group,
+    gram,
+    parse_lattice_expr,
+    signature,
+)
 from realcubic.walls import MoveKind
 
 
@@ -111,6 +117,16 @@ def test_validation_report(k4):
     assert all(c.status != "fail" for c in report)
     assert by_name["twin-pairs"].status == "warn"
     assert "11" in by_name["twin-pairs"].detail
+    assert by_name["edge-endpoints"].detail == "117 edges"
+
+
+def test_edge_endpoints_names_the_dangling_edges(k4):
+    c03 = VertexId(0, 3, special=True)
+    dropped = dataclasses.replace(k4, vertices={
+        vid: v for vid, v in k4.vertices.items() if vid != c03})
+    by_name = {c.name: c for c in validate_atlas(dropped)}
+    assert by_name["edge-endpoints"].status == "fail"
+    assert by_name["edge-endpoints"].detail == "dangling: C0,2->C0,3_I"
 
 
 def test_json_export(k4):
@@ -171,3 +187,19 @@ def test_vertex_invariants_rejects_a_wrong_table_two_rank(k4):
     v = k4.vertex(VertexId(0, 0))
     with pytest.raises(ValueError, match="two-rank 11 != the table's 10"):
         vertex_invariants(dataclasses.replace(v, d=10))
+
+
+def test_table_vertex_reads_no_stale_memo(k4, monkeypatch):
+    # the invariant memos are keyed by component entries, so a patched
+    # table entry after a warm build gets its own d and type, and undoing
+    # the patch rebuilds the cached atlas exactly
+    vid = VertexId(1, 0, special=True)
+    assert (k4.vertex(vid).d, k4.vertex(vid).type_one) == (10, True)
+    plus, minus = "<-2>+5*A1+A2", "<-2>+5*A1"
+    with monkeypatch.context() as m:
+        m.setitem(realcubic.atlas._TABLE_SPECIAL, (1, 0), (plus, minus))
+        v = table_vertex(vid)
+    whole = discriminant_form(gram(parse_lattice_expr(minus)))
+    assert (v.d, v.type_one) == (whole.group.two_rank,
+                                 whole.two_part_integer) == (6, False)
+    assert build_atlas.__wrapped__("K4") == build_atlas("K4")

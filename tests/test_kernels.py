@@ -8,7 +8,8 @@ library picks the same pivots with less work, so it must return the same
 (factors, U, V), and sums only over nonzero coordinates. The F2 two-rank of
 ``vertex_invariants`` is checked against ``discriminant_group``, which reads
 it off the Smith factors. A work-count guard pins the number of Smith normal
-forms the atlas build and its check make.
+forms the atlas build and its check make: one per distinct orthogonal
+component, since every lattice invariant is memoized by component block.
 """
 
 import random
@@ -234,9 +235,20 @@ def fresh_k4():
     return build_atlas.__wrapped__("K4")
 
 
+def clear_block_memos():
+    """Empty the per-component memos of lattices and atlas."""
+    for memo in (realcubic.lattices._block_inertia,
+                 realcubic.lattices._block_det,
+                 realcubic.lattices._block_two_part,
+                 realcubic.atlas._block_corank_f2):
+        memo.cache_clear()
+
+
 def test_smith_normal_form_counts_on_the_atlas_paths(monkeypatch):
-    # a fresh build takes one SNF per eigenlattice in classify_type; the
-    # check (vertex_invariants) gets d over F2 and takes none
+    # a fresh build takes one SNF per distinct component block of the 150
+    # eigenlattices in classify_type: <-2>, A1, <6>, A2, U, D4, E7, E8,
+    # U(2), E8(2) and E6(2); the check (vertex_invariants) gets d over F2
+    # and takes none
     calls = []
 
     def counting(m: Matrix):
@@ -244,8 +256,9 @@ def test_smith_normal_form_counts_on_the_atlas_paths(monkeypatch):
         return smith_normal_form(m)
 
     monkeypatch.setattr(realcubic.lattices, "smith_normal_form", counting)
+    clear_block_memos()
     atlas = fresh_k4()
-    assert len(calls) == 150
+    assert sorted(calls) == [1, 1, 1, 2, 2, 2, 4, 6, 7, 8, 8]
     calls.clear()
     validate_atlas(atlas)
     assert calls == []
@@ -254,7 +267,8 @@ def test_smith_normal_form_counts_on_the_atlas_paths(monkeypatch):
 def test_gram_and_elimination_work_on_the_atlas_paths(monkeypatch):
     # the build leaves every eigenlattice's Gram matrix in gram's memo, so
     # the check builds none; signature eliminates one orthogonal component
-    # at a time, and the largest atom, E8, has rank 8
+    # at a time, and the largest atom, E8, has rank 8; equal components
+    # share one elimination, so 32*E8 takes one and a repeat call none
     atoms, ranks = [], []
     atom_gram = realcubic.lattices._atom_gram
     eliminate = realcubic.lattices._eliminate
@@ -270,6 +284,7 @@ def test_gram_and_elimination_work_on_the_atlas_paths(monkeypatch):
     monkeypatch.setattr(realcubic.lattices, "_atom_gram", counting_atom_gram)
     monkeypatch.setattr(realcubic.lattices, "_eliminate", counting_eliminate)
     gram.cache_clear()
+    clear_block_memos()
     atlas = fresh_k4()
     assert atoms  # the build itself made the Gram matrices
     atoms.clear()
@@ -277,5 +292,9 @@ def test_gram_and_elimination_work_on_the_atlas_paths(monkeypatch):
     assert atoms == []
     assert 8 in ranks and max(ranks) == 8
     ranks.clear()
+    clear_block_memos()
     assert signature(gram(parse_lattice_expr("32*E8"))) == (256, 0)
-    assert ranks == [8] * 32
+    assert ranks == [8]
+    ranks.clear()
+    assert signature(gram(parse_lattice_expr("32*E8"))) == (256, 0)
+    assert ranks == []
