@@ -59,17 +59,22 @@ def is_unimodular(m: Matrix) -> bool:
     return abs(det(m)) == 1
 
 
-def smith_normal_form(m: Matrix) -> tuple[list[int], Matrix, Matrix]:
+def smith_normal_form(m: Matrix, *, u: bool = True, v: bool = True
+                      ) -> tuple[list[int], Matrix | None, Matrix | None]:
     """Return (factors, U, V) with U*m*V diagonal, U and V unimodular.
 
     ``factors`` is the full diagonal of length min(rows, cols), nonnegative
     and in a divisibility chain (trailing zeros for rank deficit).
+
+    ``u=False`` or ``v=False`` skips that transform: it is returned as None
+    and never built. The operations on m are the same either way, so the
+    factors and the transform that is built do not depend on the switches.
     """
     a = [[int(x) for x in row] for row in m]
     nr = len(a)
     nc = len(a[0]) if nr else 0
-    u = identity(nr)
-    v = identity(nc)
+    left = identity(nr) if u else None
+    right = identity(nc) if v else None
 
     t = 0
     while t < min(nr, nc):
@@ -92,27 +97,30 @@ def smith_normal_form(m: Matrix) -> tuple[list[int], Matrix, Matrix]:
         pi, pj = piv
         if pi != t:
             a[pi], a[t] = a[t], a[pi]
-            u[pi], u[t] = u[t], u[pi]
+            if u:
+                left[pi], left[t] = left[t], left[pi]
         if pj != t:
             for row in a:
                 row[pj], row[t] = row[t], row[pj]
-            for row in v:
-                row[pj], row[t] = row[t], row[pj]
+            if v:
+                for row in right:
+                    row[pj], row[t] = row[t], row[pj]
 
-        at, ut = a[t], u[t]
+        at = a[t]
         p = at[t]
         clean = True
         for i in range(t + 1, nr):
             if a[i][t]:
                 c = -(a[i][t] // p)
                 a[i] = [x + c * y for x, y in zip(a[i], at)]
-                u[i] = [x + c * y for x, y in zip(u[i], ut)]
+                if u:
+                    left[i] = [x + c * y for x, y in zip(left[i], left[t])]
                 if a[i][t]:
                     clean = False
         # column t stays fixed while the other columns are reduced against
         # it, so only the rows where it is nonzero change
         rows = [row for row in a if row[t]]
-        vrows = [row for row in v if row[t]]
+        vrows = [row for row in right if row[t]] if v else ()
         for j in range(t + 1, nc):
             if at[j]:
                 c = -(at[j] // p)
@@ -131,21 +139,27 @@ def smith_normal_form(m: Matrix) -> tuple[list[int], Matrix, Matrix]:
                         if any(x % p for x in a[i][t + 1:])), None)
             if bad is not None:
                 a[t] = [x + y for x, y in zip(at, a[bad])]
-                u[t] = [x + y for x, y in zip(ut, u[bad])]
+                if u:
+                    left[t] = [x + y for x, y in zip(left[t], left[bad])]
                 continue
         if p < 0:
             a[t] = [-x for x in at]
-            u[t] = [-x for x in ut]
+            if u:
+                left[t] = [-x for x in left[t]]
         t += 1
 
     factors = [a[i][i] for i in range(min(nr, nc))]
-    return factors, u, v
+    return factors, left, right
 
 
 def cokernel(m: Matrix) -> tuple[list[int], int]:
-    """Invariant factors (> 1) and free rank of Z^rows / im(m)."""
+    """Invariant factors (> 1) and free rank of Z^rows / im(m).
+
+    The factors alone decide the group, so the Smith form builds neither
+    transform.
+    """
     nr = len(m)
-    factors, _, _ = smith_normal_form(m)
+    factors, _, _ = smith_normal_form(m, u=False, v=False)
     torsion = [f for f in factors if f > 1]
     rank = sum(1 for f in factors if f != 0)
     return torsion, nr - rank

@@ -468,12 +468,14 @@ class DiscriminantGroup:
         return " + ".join(f"Z/{f}" for f in self.invariant_factors)
 
 
-def _smith(g: GramMatrix) -> tuple[list[int], list[list[int]]]:
-    """Smith factors and right transform V of a nondegenerate Gram matrix."""
-    factors, _, v = smith_normal_form(g.rows())
+def _smith(g: GramMatrix, *, v: bool
+           ) -> tuple[list[int], list[list[int]] | None]:
+    """Smith factors of a nondegenerate Gram matrix, with its right
+    transform V if ``v`` (else None); U is never built."""
+    factors, _, right = smith_normal_form(g.rows(), u=False, v=v)
     if 0 in factors:
         raise DegenerateLatticeError("degenerate Gram matrix")
-    return factors, v
+    return factors, right
 
 
 def _group(factors: list[int]) -> DiscriminantGroup:
@@ -482,7 +484,9 @@ def _group(factors: list[int]) -> DiscriminantGroup:
 
 
 def discriminant_group(g: GramMatrix) -> DiscriminantGroup:
-    return _group(_smith(g)[0])
+    """The sum of Z/d over G's Smith factors d > 1; the Smith form builds
+    neither transform."""
+    return _group(_smith(g, v=False)[0])
 
 
 @dataclass(frozen=True)
@@ -514,7 +518,8 @@ def discriminant_form(g: GramMatrix) -> DiscriminantForm:
     One Smith normal form U*G*V = diag(d) gives everything: the group is
     the sum of Z/d_i over the factors d_i > 1, and g_i = v_i / d_i, with v_i
     the matching columns of V, generate it (G g_i = U^-1 e_i is integral);
-    q and b are read off W = V^T G V over those columns.
+    q and b are read off W = V^T G V over those columns. The Smith form
+    builds V only: U is never read.
 
     The 2-primary part is generated by y_i = (d_i / t_i) g_i, where t_i is
     the 2-part of d_i. Since q(x + y) = q(x) + q(y) + 2 b(x, y) exactly, q
@@ -522,7 +527,7 @@ def discriminant_form(g: GramMatrix) -> DiscriminantForm:
     2 b(y_i, y_j) = 2 W_ij / (t_i t_j) is an integer: t_i^2 | W_ii and
     t_i t_j | 2 W_ij (i < j).
     """
-    factors, v = _smith(g)
+    factors, v = _smith(g, v=True)
     group = _group(factors)
     cols = [i for i, d in enumerate(factors) if d > 1]
     vsel = [[row[i] for i in cols] for row in v]

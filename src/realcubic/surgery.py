@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intmat import Matrix, cokernel, identity, matmul
+from .intmat import Matrix, cokernel
 
 
 @dataclass(frozen=True)
@@ -61,17 +61,21 @@ def blow_up(m: Matrix, sign: int) -> Matrix:
 
 
 def slide(m: Matrix, i: int, j: int, sign: int = 1) -> Matrix:
-    """Slide component i over component j: congruence by a transvection."""
+    """Slide component i over component j: congruence by a transvection.
+
+    With E = I + sign * e_j e_i^T this is E^T M E: column i gains sign *
+    column j, then row i gains sign * row j.
+    """
     _check_linking(m)
     if i == j:
         raise ValueError("cannot slide a component over itself")
     if sign not in (1, -1):
         raise ValueError("slide sign must be +1 or -1")
-    n = len(m)
-    e = identity(n)
-    e[j][i] = sign  # column i gains sign * column j
-    et = [[e[r][c] for r in range(n)] for c in range(n)]
-    return matmul(et, matmul(m, e))
+    out = [row[:] for row in m]
+    for row in out:
+        row[i] += sign * row[j]
+    out[i] = [x + sign * y for x, y in zip(out[i], out[j])]
+    return out
 
 
 def blow_down(m: Matrix, k: int) -> Matrix:

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_elimination import dense_symmetric, interleaved_blocks
 
 from realcubic.intmat import (
@@ -90,6 +93,71 @@ def test_snf_contract_random(shape, rng):
                 assert b == 0
             else:
                 assert b % a == 0
+
+
+def rational_rank(m) -> int:
+    """Rank over Q by Gaussian elimination on Fractions."""
+    a = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    for c in range(len(a[0])):
+        piv = next((r for r in range(rank, len(a)) if a[r][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for r in range(rank + 1, len(a)):
+            f = a[r][c] / a[rank][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def integer_matrices(draw) -> list[list[int]]:
+    """A 1..7 x 1..7 matrix with |entries| <= 20; half of them a product
+    A B through Z^k, k < min(rows, cols), so rank-deficient."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+
+    def block(r, c, bound):
+        return [[draw(st.integers(-bound, bound)) for _ in range(c)]
+                for _ in range(r)]
+
+    if draw(st.booleans()):
+        return block(rows, cols, 20)
+    k = draw(st.integers(0, min(rows, cols) - 1))
+    if k == 0:
+        return [[0] * cols for _ in range(rows)]
+    # |entries| <= k * 1 * 3 <= 18
+    return matmul(block(rows, k, 1), block(k, cols, 3))
+
+
+def test_snf_contract_and_switches_property():
+    seen = {"deficient": 0, "nontrivial": 0}
+
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None)
+    @given(integer_matrices())
+    def check(m):
+        rows, cols = len(m), len(m[0])
+        factors, u, v = smith_normal_form(m)
+        assert is_unimodular(u) and is_unimodular(v)
+        assert matmul(u, matmul(m, v)) == [
+            [factors[i] if i == j else 0 for j in range(cols)]
+            for i in range(rows)]
+        assert len(factors) == min(rows, cols)
+        assert all(f >= 0 for f in factors)
+        for a, b in zip(factors, factors[1:]):
+            assert b == 0 if a == 0 else b % a == 0
+        rank = rational_rank(m)
+        assert all(factors[:rank]) and not any(factors[rank:])
+        for want_u, want_v in ((False, True), (True, False), (False, False)):
+            assert smith_normal_form(m, u=want_u, v=want_v) == (
+                factors, u if want_u else None, v if want_v else None)
+        seen["deficient"] += rank < min(rows, cols)
+        seen["nontrivial"] += any(f > 1 for f in factors)
+
+    check()
+    # both rank-deficient and nontrivially divisible cases were drawn
+    assert seen["deficient"] >= 50 and seen["nontrivial"] >= 50
 
 
 def test_snf_examples():

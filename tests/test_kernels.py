@@ -10,15 +10,26 @@ library picks the same pivots with less work, so it must return the same
 it off the Smith factors. A work-count guard pins the number of Smith normal
 forms the atlas build and its check make: one per distinct orthogonal
 component, since every lattice invariant is memoized by component block.
+A second guard records which transforms each caller asks the Smith normal
+form for, so that no caller builds a U or V it does not read. The oracle
+of ``surgery.slide`` is the former dense congruence E^T M E.
 """
 
 import random
 
 import pytest
 
+import realcubic.intmat
 import realcubic.lattices
 from realcubic.atlas import _two_rank, build_atlas, validate_atlas
-from realcubic.intmat import Matrix, identity, matmul, smith_normal_form
+from realcubic.cli import main
+from realcubic.intmat import (
+    Matrix,
+    cokernel,
+    identity,
+    matmul,
+    smith_normal_form,
+)
 from realcubic.lattices import (
     GramMatrix,
     LatticeError,
@@ -28,6 +39,7 @@ from realcubic.lattices import (
     parse_lattice_expr,
     signature,
 )
+from realcubic.surgery import h1_from_linking, slide
 
 
 def oracle_smith_normal_form(m: Matrix) -> tuple[list[int], Matrix, Matrix]:
@@ -244,24 +256,87 @@ def clear_block_memos():
         memo.cache_clear()
 
 
+def counting_snf(calls: list):
+    """A smith_normal_form that appends (rows, u, v) of each call to calls."""
+    def counting(m: Matrix, *, u: bool = True, v: bool = True):
+        calls.append((len(m), u, v))
+        return smith_normal_form(m, u=u, v=v)
+
+    return counting
+
+
 def test_smith_normal_form_counts_on_the_atlas_paths(monkeypatch):
     # a fresh build takes one SNF per distinct component block of the 150
     # eigenlattices in classify_type: <-2>, A1, <6>, A2, U, D4, E7, E8,
     # U(2), E8(2) and E6(2); the check (vertex_invariants) gets d over F2
-    # and takes none
+    # and takes none. Each block's discriminant form reads V, never U.
     calls = []
-
-    def counting(m: Matrix):
-        calls.append(len(m))
-        return smith_normal_form(m)
-
-    monkeypatch.setattr(realcubic.lattices, "smith_normal_form", counting)
+    monkeypatch.setattr(realcubic.lattices, "smith_normal_form",
+                        counting_snf(calls))
     clear_block_memos()
     atlas = fresh_k4()
-    assert sorted(calls) == [1, 1, 1, 2, 2, 2, 4, 6, 7, 8, 8]
+    assert sorted(n for n, _, _ in calls) == [1, 1, 1, 2, 2, 2, 4, 6, 7, 8, 8]
+    assert all((u, v) == (False, True) for _, u, v in calls)
     calls.clear()
     validate_atlas(atlas)
     assert calls == []
+
+
+def test_smith_normal_form_builds_only_the_transforms_read(monkeypatch,
+                                                           capsys):
+    # H1 and the discriminant group are the factors alone; lattice info's
+    # discriminant form reads V (its generators and W), never U
+    calls = []
+    for module in (realcubic.intmat, realcubic.lattices):
+        monkeypatch.setattr(module, "smith_normal_form", counting_snf(calls))
+    assert cokernel([[2, 1], [1, 2]]) == ([3], 0)
+    assert str(h1_from_linking([[-4, 2], [2, -2]])) == "Z/2 + Z/2"
+    g = gram(parse_lattice_expr("U(2)+A2"))
+    assert discriminant_group(g).invariant_factors == (2, 6)
+    assert calls == [(2, False, False), (2, False, False), (4, False, False)]
+    calls.clear()
+    assert main(["lattice", "info", "U(2)+A2"]) == 0
+    assert "Z/2 + Z/6" in capsys.readouterr().out
+    assert calls == [(4, False, True)]
+
+
+def oracle_slide(m: Matrix, i: int, j: int, sign: int) -> Matrix:
+    """The former ``slide``: E^T M E with E = I + sign * e_j e_i^T."""
+    n = len(m)
+    e = identity(n)
+    e[j][i] = sign
+    et = [[e[r][c] for r in range(n)] for c in range(n)]
+    return matmul(et, matmul(m, e))
+
+
+def test_slide_matches_the_transvection_formula():
+    rng = random.Random(24)
+    cases = 0
+    for n in range(2, 7):
+        for _ in range(8):
+            m = random_symmetric(rng, n)
+            before = [row[:] for row in m]
+            for i in range(n):
+                for j in range(n):
+                    if i == j:
+                        continue
+                    for sign in (1, -1):
+                        assert slide(m, i, j, sign) == \
+                            oracle_slide(m, i, j, sign)
+                        cases += 1
+            assert m == before  # the input is not modified
+    assert cases == 8 * 2 * sum(n * (n - 1) for n in range(2, 7))
+
+
+def test_slide_rejects_bad_arguments():
+    m = [[2, 1, 0], [1, -2, 1], [0, 1, 4]]
+    with pytest.raises(ValueError, match="symmetric"):
+        slide([[2, 1], [0, 2]], 0, 1)
+    with pytest.raises(ValueError, match="itself"):
+        slide(m, 1, 1)
+    for sign in (0, 2, -2):
+        with pytest.raises(ValueError, match="sign"):
+            slide(m, 0, 1, sign)
 
 
 def test_gram_and_elimination_work_on_the_atlas_paths(monkeypatch):
