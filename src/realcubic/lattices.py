@@ -2,22 +2,23 @@
 
 Covers the lattice-expression language of the classification tables
 (A_n, D_n, E6/E7/E8, U, rank-1 <k>, integer rescaling), Gram matrices (one
-per expression), signatures and determinants by fraction-free (Bareiss)
-elimination of each orthogonal component, discriminant groups and
+per expression), signatures and determinants, discriminant groups and
 finite quadratic forms, short-vector enumeration in definite lattices with
-exact integer bounds from the same elimination, and 6-roots. Inertia,
-determinant and the 2-part of the discriminant form are computed once per
-distinct component, memoized by its entries, and added up over the sum.
+exact integer bounds, and 6-roots. One fraction-free (Bareiss) elimination
+of each distinct orthogonal component gives both its inertia and its
+determinant, and one Smith normal form the 2-part of its discriminant form;
+each is memoized by the component's entries and added up over the sum.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .intmat import det, matmul, smith_normal_form
+from .intmat import matmul, smith_normal_form
 
 Vector = tuple[int, ...]
 
@@ -109,89 +110,42 @@ class LatticeExpr:
         return "+".join(str(t) for t in self.terms)
 
 
+# one term, with whitespace allowed around and inside it, then "+" or the end
+_TERM = re.compile(r"""
+    \s* (?P<term>
+        (?: (?P<mult>\d+) \s* \* \s* )?
+        (?: (?P<kind>[ADE]) \s* (?P<n>\d+) | U | < \s* (?P<k>-?\d+) \s* > )
+        (?: \s* \( \s* (?P<scale>\d+) \s* \) )?
+    ) \s* (?P<sep> \+ | \Z )?
+""", re.VERBOSE)
+
+
 def parse_lattice_expr(text: str) -> LatticeExpr:
     """Parse the textual grammar; parse o print is the identity.
 
     expr := term ("+" term)* ; term := [INT "*"] atom ["(" INT ")"] ;
     atom := "A"INT | "D"INT | "E"INT | "U" | "<" SIGNED_INT ">".
+    ``_TERM`` matches one term at a time; a term that breaks ``Term``'s
+    rules is a ParseError at the term's first character.
     """
-    pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def peek() -> str:
-        skip_ws()
-        return text[pos] if pos < n else ""
-
-    def expect(ch: str):
-        nonlocal pos
-        if peek() != ch:
-            raise ParseError(f"expected {ch!r}", pos)
-        pos += 1
-
-    def read_int(signed: bool = False) -> int:
-        nonlocal pos
-        skip_ws()
-        start = pos
-        if signed and pos < n and text[pos] == "-":
-            pos += 1
-        digits = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if pos == digits:
-            raise ParseError("expected an integer", start)
-        return int(text[start:pos])
-
-    def read_term() -> Term:
-        nonlocal pos
-        mult = 1
-        skip_ws()
-        save = pos
-        if peek().isdigit():
-            mult = read_int()
-            if peek() == "*":
-                pos += 1
-            else:
-                raise ParseError("expected '*' after multiplicity", pos)
-        c = peek()
-        if c in "ADE":
-            pos += 1
-            idx = read_int()
-            kind, num = c, idx
-        elif c == "U":
-            pos += 1
-            kind, num = "U", 0
-        elif c == "<":
-            pos += 1
-            k = read_int(signed=True)
-            expect(">")
-            kind, num = "diag", k
-        else:
-            raise ParseError("expected a lattice atom", pos if pos < n else save)
-        scale = 1
-        if peek() == "(":
-            pos += 1
-            scale = read_int()
-            if scale < 1:
-                raise ParseError("scale must be positive", pos)
-            expect(")")
-        try:
-            return Term(mult, kind, num, scale)
-        except LatticeError as exc:
-            raise ParseError(str(exc), save) from None
-
-    terms = [read_term()]
+    terms, pos = [], 0
     while True:
-        skip_ws()
-        if pos >= n:
-            break
-        expect("+")
-        terms.append(read_term())
-    return LatticeExpr(tuple(terms))
+        m = _TERM.match(text, pos)
+        if m is None:
+            raise ParseError("expected a lattice term",
+                             len(text) - len(text[pos:].lstrip()))
+        try:
+            terms.append(Term(int(m["mult"] or 1),
+                              m["kind"] or ("diag" if m["k"] else "U"),
+                              int(m["n"] or m["k"] or 0),
+                              int(m["scale"] or 1)))
+        except LatticeError as exc:
+            raise ParseError(str(exc), m.start("term")) from None
+        if m["sep"] is None:
+            raise ParseError("expected '+'", m.end())
+        if m["sep"] == "":  # the end of the text
+            return LatticeExpr(tuple(terms))
+        pos = m.end()
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +267,11 @@ class GramMatrix:
                      for r in self.entries)
 
     def det(self) -> int:
-        """The product of the determinants of the orthogonal components,
-        one Bareiss elimination per distinct block (``_block_det``)."""
-        return math.prod(_block_det(b) for b in self.component_blocks)
+        """The product of the determinants of the orthogonal components:
+        each is the last leading minor of the one elimination per distinct
+        block that ``signature`` reads too (``_block_inertia``), and 0 for
+        a degenerate block."""
+        return math.prod(_block_inertia(b)[1] for b in self.component_blocks)
 
     def apply(self, v: Vector) -> Vector:
         """G.v as the sum of x_j times column j over the nonzero x_j of v;
@@ -422,16 +378,15 @@ def _eliminate(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
 
 @lru_cache(maxsize=None)
 def _block_inertia(block: tuple[Vector, ...]) -> tuple[int, int]:
-    """Inertia (pos, neg) of one component: neg counts the sign changes
-    along 1, D_1..D_k of its elimination."""
-    minors, _ = _eliminate([list(r) for r in block])
+    """(neg, det) of one component from one elimination, or (0, 0) if it
+    is degenerate. neg counts the sign changes along 1, D_1..D_n; D_n is
+    the determinant, since the zero-pivot congruence has determinant 1."""
+    try:
+        minors, _ = _eliminate([list(r) for r in block])
+    except DegenerateLatticeError:
+        return 0, 0
     neg = sum((p > 0) != (d > 0) for p, d in zip((1, *minors), minors))
-    return len(block) - neg, neg
-
-
-@lru_cache(maxsize=None)
-def _block_det(block: tuple[Vector, ...]) -> int:
-    return det([list(r) for r in block])
+    return neg, minors[-1]
 
 
 def signature(g: GramMatrix) -> tuple[int, int]:
@@ -439,10 +394,16 @@ def signature(g: GramMatrix) -> tuple[int, int]:
 
     A permutation congruence makes G block diagonal, and inertia adds over
     an orthogonal sum (Sylvester). Each distinct component block is
-    eliminated once (``_block_inertia``); a degenerate component makes G
+    eliminated once (``_block_inertia``), and ``GramMatrix.det`` reads the
+    same elimination; a degenerate component (determinant 0) makes G
     degenerate, and raises on every call.
     """
-    neg = sum(_block_inertia(b)[1] for b in g.component_blocks)
+    neg = 0
+    for b in g.component_blocks:
+        n, d = _block_inertia(b)
+        if d == 0:
+            raise DegenerateLatticeError("degenerate Gram matrix")
+        neg += n
     return g.rank - neg, neg
 
 

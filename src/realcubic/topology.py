@@ -255,10 +255,15 @@ def propagate(atlas: Atlas, cusp_results: dict | None = None
 
 def r_edge_verdicts(atlas: Atlas) -> dict[tuple[VertexId, VertexId],
                                           CuspVerdict]:
-    """Cusp verdict of every R-edge, keyed by (source id, target id)."""
+    """Cusp verdict of every R-edge, keyed by (source id, target id).
+
+    An R-edge with an end outside the atlas gets none, so ``propagate``
+    refuses it through ``r_wall_problem``.
+    """
     return {(e.source, e.target): cusp_stratum((atlas.vertex(e.source),
                                                 atlas.vertex(e.target)))
-            for e in atlas.edges if e.move == MoveKind.R}
+            for e in atlas.edges if e.move == MoveKind.R
+            and e.source in atlas.vertices and e.target in atlas.vertices}
 
 
 def r_wall_problem(e: Edge, v: CuspVerdict | None) -> str | None:

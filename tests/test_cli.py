@@ -34,6 +34,11 @@ def test_lattice_info(capsys):
 def test_lattice_parse_error(capsys):
     code, _, err = run(capsys, "lattice", "info", "D3+Q")
     assert code == 2 and "parse error" in err
+    # str.isdigit accepts a superscript digit, int does not: still a parse
+    # error, not a traceback
+    code, out, err = run(capsys, "lattice", "info", "A\u00b2")
+    assert code == 2 and out == ""
+    assert "parse error" in err and "Traceback" not in err
 
 
 def test_lattice_roots(capsys):

@@ -31,6 +31,7 @@ from realcubic.intmat import (
     smith_normal_form,
 )
 from realcubic.lattices import (
+    DegenerateLatticeError,
     GramMatrix,
     LatticeError,
     discriminant_group,
@@ -250,7 +251,6 @@ def fresh_k4():
 def clear_block_memos():
     """Empty the per-component memos of lattices and atlas."""
     for memo in (realcubic.lattices._block_inertia,
-                 realcubic.lattices._block_det,
                  realcubic.lattices._block_two_part,
                  realcubic.atlas._block_corank_f2):
         memo.cache_clear()
@@ -343,7 +343,8 @@ def test_gram_and_elimination_work_on_the_atlas_paths(monkeypatch):
     # the build leaves every eigenlattice's Gram matrix in gram's memo, so
     # the check builds none; signature eliminates one orthogonal component
     # at a time, and the largest atom, E8, has rank 8; equal components
-    # share one elimination, so 32*E8 takes one and a repeat call none
+    # share one elimination, so 32*E8 takes one and a repeat call none;
+    # det reads the same elimination, in either order
     atoms, ranks = [], []
     atom_gram = realcubic.lattices._atom_gram
     eliminate = realcubic.lattices._eliminate
@@ -373,3 +374,20 @@ def test_gram_and_elimination_work_on_the_atlas_paths(monkeypatch):
     ranks.clear()
     assert signature(gram(parse_lattice_expr("32*E8"))) == (256, 0)
     assert ranks == []
+    clear_block_memos()
+    g = gram(parse_lattice_expr("32*E8"))
+    assert signature(g) == (256, 0) and g.det() == 1
+    assert ranks == [8]
+    ranks.clear()
+    clear_block_memos()
+    assert g.det() == 1 and signature(g) == (256, 0)
+    assert ranks == [8]
+    # a degenerate component: det is 0 and signature raises, also when
+    # both are read from the memo
+    for rows in ([[1, 1], [1, 1]], [[0]], [[2, 0, 0], [0, 0, 0], [0, 0, 4]],
+                 [[0, 1, 1], [1, 0, 1], [1, 1, 2]]):
+        g = gram_from_rows(rows)
+        for _ in range(2):
+            assert g.det() == 0
+            with pytest.raises(DegenerateLatticeError):
+                signature(g)

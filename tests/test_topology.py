@@ -191,6 +191,8 @@ def test_verify_reports_a_mutated_table(k4, mutate, detail):
     assert checks["cusp-verdicts"].status == "fail"
     assert checks["cusp-verdicts"].detail == detail
     assert checks["propagation"].status == "fail"
+    with pytest.raises(ValueError):
+        propagate(mutate(k4))
 
 
 # one step per wall kind: what crossing the wall adds to the descriptor
