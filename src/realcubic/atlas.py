@@ -22,7 +22,7 @@ from .lattices import (
     signature,
     two_part,
 )
-from .walls import MoveKind
+from .walls import MoveKind, move_between
 
 
 @dataclass(frozen=True, order=True)
@@ -256,13 +256,11 @@ def table_edges() -> tuple[Edge, ...]:
         paper_pairs.add((s, t))
     dom = table1_domain()
     for (i, j) in sorted(dom):
-        for (di, dj, move) in ((1, 0, MoveKind.L), (0, 1, MoveKind.R)):
-            if (i + di, j + dj) not in dom:
-                continue
-            s, t = VertexId(i, j), VertexId(i + di, j + dj)
-            if t in TERMINAL or (s, t) in paper_pairs:
-                continue
-            edges.append(Edge(s, t, move, "grid"))
+        s = VertexId(i, j)
+        for t in (VertexId(i + 1, j), VertexId(i, j + 1)):  # L, then R
+            if ((t.i, t.j) in dom and t not in TERMINAL
+                    and (s, t) not in paper_pairs):
+                edges.append(Edge(s, t, move_between(s, t), "grid"))
     return tuple(edges)
 
 
@@ -388,17 +386,8 @@ def validate_atlas(a: Atlas) -> list[CheckResult]:
           f"{len(a.edges)} edges" if not dangling else
           "dangling: " + ", ".join(f"{e.source}->{e.target}"
                                    for e in dangling))
-    bad_moves = []
-    for e in a.edges:
-        di, dj = e.target.i - e.source.i, e.target.j - e.source.j
-        want = MoveKind.L if (di, dj) == (1, 0) else \
-            MoveKind.R if (di, dj) == (0, 1) else None
-        if want != e.move:
-            bad_moves.append(f"{e.source}->{e.target}")
-        sd = 11 - e.source.i - e.source.j
-        td = 11 - e.target.i - e.target.j
-        if td != sd - 1:
-            bad_moves.append(f"{e.source}->{e.target} (d step)")
+    bad_moves = [f"{e.source}->{e.target}" for e in a.edges
+                 if move_between(e.source, e.target) != e.move]
     check("edge-move-kinds", not bad_moves,
           "all edges match coordinate differences" if not bad_moves
           else "; ".join(bad_moves))

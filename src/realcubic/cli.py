@@ -109,25 +109,18 @@ def _cmd_cusp(args) -> int:
         print(f"bad --edge: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        source, target = (atlas_mod.table_vertex(sid),
-                          atlas_mod.table_vertex(tid))
+        ends = {vid: atlas_mod.table_vertex(vid) for vid in (sid, tid)}
     except KeyError:
         print("edge endpoints must be atlas vertices", file=sys.stderr)
         return EXIT_USAGE
-    if 11 - sid.i - sid.j < 11 - tid.i - tid.j:
-        sid, tid = tid, sid  # lower-d endpoint is the target
-        source, target = target, source
-    if not any((e.source, e.target) == (sid, tid)
-               for e in atlas_mod.table_edges()):
+    # the table edge, in either order, gives the orientation
+    edge = next((e for e in atlas_mod.table_edges()
+                 if {e.source, e.target} == {sid, tid}), None)
+    if edge is None:
         print(f"{sid}:{tid} is not an atlas edge", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        v = cusp_stratum((source, target))
-    except ValueError as exc:
-        print(f"bad edge: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    out = v.to_dict()
-    out["edge"] = f"{sid}:{tid}"
+    out = cusp_stratum((ends[edge.source], ends[edge.target])).to_dict()
+    out["edge"] = f"{edge.source}:{edge.target}"
     print(json.dumps(out, indent=2))
     return EXIT_OK
 

@@ -16,7 +16,9 @@ def identity(n: int) -> Matrix:
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    assert all(len(r) == inner for r in a)
+    if any(len(r) != inner for r in a):
+        raise ValueError(f"cannot multiply: a row of the left factor is not "
+                         f"{inner} long")
     out = [[0] * cols for _ in range(rows)]
     for i in range(rows):
         ai = a[i]

@@ -191,7 +191,8 @@ def spiral_scenario() -> SpiralReport:
     # [L] = [l2] - 3[l1] = [m+] - 4[l1], so in the basis ([m+], -[l1]) the
     # class of L has coefficients (1, 4)
     coeff_mplus, coeff_neg_l1 = 1, 4
-    assert (coeff_mplus * 1 - 0, coeff_mplus * 1 - coeff_neg_l1) == (1, -3)
+    if (coeff_mplus * 1 - 0, coeff_mplus * 1 - coeff_neg_l1) != (1, -3):
+        raise AssertionError("[L] is not [l2] - 3[l1]")
     rep.notes.append("[L] = [l2] - 3[l1] = [m+] - 4[l1]: coefficients (1, 4) "
                      "in the basis ([m+], -[l1])")
     # [m-] = -[m+] + 2[l1] identifies the torus framing -2 of K
@@ -200,7 +201,8 @@ def spiral_scenario() -> SpiralReport:
 
     n1 = lifted_framing(framing_K)   # lift of the (-2)-framed K
     n2 = lifted_framing(0)           # lift of the 0-framed copy
-    assert (n1, n2) == (-4, -2)
+    if (n1, n2) != (-4, -2):
+        raise AssertionError(f"lifted framings ({n1}, {n2}), not (-4, -2)")
     rep.notes.append(f"lifted framings: n1 = {n1}, n2 = {n2}")
 
     lk = 2  # assumption above
@@ -230,7 +232,8 @@ def spiral_scenario() -> SpiralReport:
         m = record("slide K1 over the new component", slide(m, 0, k))
         m = record("slide K2 over the new component", slide(m, 1, k))
 
-    assert m[0][1] == 0, "K1 and K2 are now unlinked"
+    if m[0][1] != 0:
+        raise AssertionError("K1 and K2 are still linked")
     rep.h1 = h1_from_linking(m)
     if str(rep.h1) != str(h1):
         raise AssertionError("final H1 mismatch")

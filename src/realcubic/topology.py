@@ -6,9 +6,10 @@ events transform descriptors only in the supported cases; the propagation
 routine walks the K4-graph and assigns every class its real locus together
 with a justification chain; ``verify`` runs it after the atlas checks and the
 R-wall cusp sweep. ``facet_index_options`` is the one home of the facet
-indices, and ``r_wall_problem`` the one rule for the R-wall verdicts, which
-both ``propagate`` and ``verify`` apply. The two terminal classes take the
-ramified arguments of ``ramified``, worded from the K3-graph annotations.
+indices, ``r_edge_verdicts`` the one sweep of the R-walls, and
+``r_wall_problem`` the one rule for their verdicts, which both the sweep and
+``propagate`` apply. The two terminal classes take the ramified arguments of
+``ramified``, worded from the K3-graph annotations.
 """
 
 from __future__ import annotations
@@ -186,11 +187,11 @@ def propagate(atlas: Atlas, cusp_results: dict | None = None
     the one wall into it, its R-wall if it has one and else its L-wall, by
     the lowest Morse index that wall's facet admits. ``cusp_results`` maps
     (source id, target id) of R-edges to CuspVerdict; every R-wall's verdict
-    must keep ``r_wall_problem``'s rule. When it is None,
-    ``r_edge_verdicts`` supplies it.
+    must keep ``r_wall_problem``'s rule, and a missing one breaks it. When
+    it is None, the verdicts of ``r_edge_verdicts`` are used.
     """
     if cusp_results is None:
-        cusp_results = r_edge_verdicts(atlas)
+        cusp_results = r_edge_verdicts(atlas)[0]
     bad = [r_wall_problem(e, cusp_results.get((e.source, e.target)))
            for e in atlas.edges if e.move == MoveKind.R]
     if any(bad):
@@ -253,17 +254,31 @@ def propagate(atlas: Atlas, cusp_results: dict | None = None
     return out
 
 
-def r_edge_verdicts(atlas: Atlas) -> dict[tuple[VertexId, VertexId],
-                                          CuspVerdict]:
-    """Cusp verdict of every R-edge, keyed by (source id, target id).
+def r_edge_verdicts(atlas: Atlas) -> tuple[
+        dict[tuple[VertexId, VertexId], CuspVerdict], list[str]]:
+    """The one R-wall sweep: (verdicts, problems).
 
-    An R-edge with an end outside the atlas gets none, so ``propagate``
-    refuses it through ``r_wall_problem``.
+    ``verdicts`` holds the cusp verdict of every R-edge, keyed by (source
+    id, target id). ``problems`` names each R-edge that leaves the atlas or
+    joins classes that are not one move apart, which get no verdict, and
+    each verdict that breaks ``r_wall_problem``'s rule.
     """
-    return {(e.source, e.target): cusp_stratum((atlas.vertex(e.source),
-                                                atlas.vertex(e.target)))
-            for e in atlas.edges if e.move == MoveKind.R
-            and e.source in atlas.vertices and e.target in atlas.vertices}
+    verdicts, problems = {}, []
+    for e in atlas.edges:
+        if e.move != MoveKind.R:
+            continue
+        ends = [atlas.vertices.get(x) for x in (e.source, e.target)]
+        if None in ends:
+            problems.append(f"R-edge {e.source}-{e.target} leaves the atlas")
+            continue
+        try:
+            v = verdicts[(e.source, e.target)] = cusp_stratum(ends)
+        except ValueError as exc:  # the endpoints are not one move apart
+            problems.append(f"R-edge {e.source}-{e.target}: {exc}")
+            continue
+        if problem := r_wall_problem(e, v):
+            problems.append(problem)
+    return verdicts, problems
 
 
 def r_wall_problem(e: Edge, v: CuspVerdict | None) -> str | None:
@@ -283,29 +298,13 @@ def r_wall_problem(e: Edge, v: CuspVerdict | None) -> str | None:
 
 
 def verify(atlas: Atlas) -> list[CheckResult]:
-    """The atlas checks, then the R-wall cusp verdicts and the propagation.
+    """The atlas checks, then the R-wall sweep and the propagation.
 
-    ``cusp-verdicts`` fails on an R-edge that leaves the atlas or joins
-    classes more than one move apart, and on a verdict that breaks
-    ``r_wall_problem``'s rule. The verdicts are computed once and reused by
-    ``propagate``.
+    ``cusp-verdicts`` reports the problems of ``r_edge_verdicts``, whose
+    verdicts ``propagate`` then reuses, so each R-wall is decided once.
     """
     out = validate_atlas(atlas)
-    verdicts, bad = {}, []
-    for e in atlas.edges:
-        if e.move != MoveKind.R:
-            continue
-        ends = [atlas.vertices.get(x) for x in (e.source, e.target)]
-        if None in ends:
-            bad.append(f"R-edge {e.source}-{e.target} leaves the atlas")
-            continue
-        try:
-            v = verdicts[(e.source, e.target)] = cusp_stratum(ends)
-        except ValueError as exc:  # the endpoints are not one move apart
-            bad.append(f"R-edge {e.source}-{e.target}: {exc}")
-            continue
-        if problem := r_wall_problem(e, v):
-            bad.append(problem)
+    verdicts, bad = r_edge_verdicts(atlas)
     out.append(CheckResult("cusp-verdicts", "fail" if bad else "pass",
                            "; ".join(bad) or "all R-walls as asserted"))
     try:

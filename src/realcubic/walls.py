@@ -25,7 +25,7 @@ from .lattices import (
 )
 
 if TYPE_CHECKING:
-    from .atlas import VertexData
+    from .atlas import VertexData, VertexId
 
 
 class MoveKind(enum.Enum):
@@ -36,6 +36,14 @@ class MoveKind(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+def move_between(source: "VertexId",
+                 target: "VertexId") -> Optional[MoveKind]:
+    """The move from ``source`` to ``target``: L raises i by one, R raises j
+    by one, and any other step is None."""
+    step = (target.i - source.i, target.j - source.j)
+    return {(1, 0): MoveKind.L, (0, 1): MoveKind.R}.get(step)
 
 
 def _plus_gram(vertex: "VertexData") -> GramMatrix:
@@ -239,17 +247,16 @@ def _mod3_pair(cert: A2Certificate, g: GramMatrix) -> Optional[A2Certificate]:
 def cusp_stratum(edge) -> CuspVerdict:
     """Decide whether the wall between two adjacent classes carries a cusp.
 
-    ``edge`` is (source VertexData, target VertexData) with the target the
-    lower-d endpoint X_-. R-walls are searched in M_-(X_-), L-walls in
-    M_+^0(X_-).
+    ``edge`` is (source VertexData, target VertexData) in edge order, the
+    target the lower-d endpoint X_-. R-walls are searched in M_-(X_-),
+    L-walls in M_+^0(X_-).
     """
     src, dst = edge
-    di, dj = dst.id.i - src.id.i, dst.id.j - src.id.j
-    if (abs(di), abs(dj)) not in ((0, 1), (1, 0)):
+    move = move_between(src.id, dst.id)
+    if move is None:
         raise ValueError(
             f"vertices {src.id} and {dst.id} are not adjacent by one move")
-    is_r = dj != 0
-    expr = dst.m_minus if is_r else dst.m_plus0
+    expr = dst.m_minus if move == MoveKind.R else dst.m_plus0
     pair = find_a2_pair(expr)
     if pair is None:
         refutation = refute_a2_mod2(expr)
@@ -264,8 +271,10 @@ def cusp_stratum(edge) -> CuspVerdict:
         return CuspVerdict(
             "Unknown", detail=f"A2 pair in {expr} ({pair.host}) fails the "
             f"mod-3 condition and {expr} has no unscaled U to shift it by")
-    assert cert.verify(g) and mod3_condition(cert.v1, cert.v2, g)
     v6 = _add(cert.v1, cert.v2, -1)
-    assert g.norm(v6) == 6 and not is_six_root(v6, g)
+    if not (cert.verify(g) and mod3_condition(cert.v1, cert.v2, g)
+            and g.norm(v6) == 6 and not is_six_root(v6, g)):
+        raise AssertionError(f"A2 pair in {expr} ({cert.host}) fails its "
+                             "check")
     return CuspVerdict("Yes", certificate=cert,
                        detail=f"A2 pair in {expr} ({cert.host})")

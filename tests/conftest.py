@@ -20,7 +20,7 @@ def k3():
 @pytest.fixture(scope="session")
 def cusp_verdicts(k4):
     """Verdicts for every R-edge, keyed by (source id, target id)."""
-    return r_edge_verdicts(k4)
+    return r_edge_verdicts(k4)[0]
 
 
 @pytest.fixture(scope="session")

@@ -113,3 +113,11 @@ def test_every_public_name_has_a_caller():
         f"no caller in src/: {sorted(uncalled - set(UNCALLED))}"
     assert set(UNCALLED) <= uncalled, \
         f"allow-listed but called: {sorted(set(UNCALLED) - uncalled)}"
+
+
+def test_no_assert_statements():
+    # a check must survive ``python -O``, which strips assert statements
+    found = [f"{p.name}:{n.lineno}" for p in sorted(SRC.glob("*.py"))
+             for n in ast.walk(ast.parse(p.read_text()))
+             if isinstance(n, ast.Assert)]
+    assert not found, f"assert statements in src/: {found}"

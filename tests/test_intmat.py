@@ -185,3 +185,8 @@ def test_identity_and_matmul():
     m = [[1, 2], [3, 4]]
     assert matmul(identity(2), m) == m
     assert matmul(m, identity(2)) == m
+
+
+def test_matmul_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        matmul([[1, 2, 3]], [[1], [1]])

@@ -177,19 +177,35 @@ _C03_I, _C53, _C54_I = (VertexId(0, 3, special=True), VertexId(5, 3),
                         VertexId(5, 4, special=True))
 
 
-@pytest.mark.parametrize("mutate, detail", [
+def _retarget_c53(target):
+    """The table with its R-edge C5,3-C5,4_I pointed at ``target``."""
+    return lambda a: replace(a, edges=tuple(
+        Edge(e.source, target, e.move, e.provenance)
+        if (e.source, e.target) == (_C53, _C54_I) else e for e in a.edges))
+
+
+@pytest.mark.parametrize("mutate, detail, bad_move", [
     (lambda a: replace(a, vertices={v: d for v, d in a.vertices.items()
                                     if v != _C03_I}),
-     "R-edge C0,2-C0,3_I leaves the atlas"),
-    (lambda a: replace(a, edges=tuple(
-        Edge(e.source, VertexId(4, 4), e.move, e.provenance)
-        if (e.source, e.target) == (_C53, _C54_I) else e for e in a.edges)),
-     "R-edge C5,3-C4,4: vertices C5,3 and C4,4 are not adjacent by one move"),
-], ids=["drop-C0,3_I", "retarget-C5,3-C5,4_I-to-C4,4"])
-def test_verify_reports_a_mutated_table(k4, mutate, detail):
+     "R-edge C0,2-C0,3_I leaves the atlas", None),
+    (_retarget_c53(VertexId(4, 4)),
+     "R-edge C5,3-C4,4: vertices C5,3 and C4,4 are not adjacent by one move",
+     "C5,3->C4,4"),
+    (_retarget_c53(VertexId(6, 4)),
+     "R-edge C5,3-C6,4: vertices C5,3 and C6,4 are not adjacent by one move",
+     "C5,3->C6,4"),
+], ids=["drop-C0,3_I", "retarget-C5,3-C5,4_I-to-C4,4",
+        "retarget-C5,3-C5,4_I-to-C6,4"])
+def test_verify_reports_a_mutated_table(k4, mutate, detail, bad_move):
     checks = {c.name: c for c in verify(mutate(k4))}
     assert checks["cusp-verdicts"].status == "fail"
     assert checks["cusp-verdicts"].detail == detail
+    assert r_edge_verdicts(mutate(k4))[1] == [detail]
+    # each misplaced edge is named once, with no separate d-step entry
+    moves = checks["edge-move-kinds"]
+    assert (moves.status, moves.detail) == (
+        ("pass", "all edges match coordinate differences") if bad_move is None
+        else ("fail", bad_move))
     assert checks["propagation"].status == "fail"
     with pytest.raises(ValueError):
         propagate(mutate(k4))
@@ -233,7 +249,7 @@ def test_ten_descriptor_twins(k4, propagation):
 
 
 def test_propagate_sweeps_r_edges_itself(k4):
-    assert propagate(k4) == propagate(k4, r_edge_verdicts(k4))
+    assert propagate(k4) == propagate(k4, r_edge_verdicts(k4)[0])
 
 
 def test_propagate_leaves_verdicts_unchanged(k4, cusp_verdicts):

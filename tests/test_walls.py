@@ -178,8 +178,10 @@ def test_cusp_stratum_verdicts(k4, cusp_verdicts):
 
 
 def test_cusp_stratum_rejects_non_adjacent(k4):
-    with pytest.raises(ValueError):
-        cusp_stratum((k4.vertex(VertexId(0, 0)), k4.vertex(VertexId(2, 0))))
+    # two L-moves apart, then two walls given lower-d endpoint first
+    for pair in (("C0,0", "C2,0"), ("C10,1", "C10,0"), ("C2,1_I", "C2,0")):
+        with pytest.raises(ValueError, match="not adjacent by one move"):
+            cusp_stratum(tuple(k4.vertex(VertexId.parse(x)) for x in pair))
 
 
 def test_cusp_verdict_serialization(k4):
