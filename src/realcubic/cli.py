@@ -12,21 +12,8 @@ import json
 import os
 import sys
 
-from . import atlas as atlas_mod
-from . import surgery as surgery_mod
-from .lattices import (
-    IndefiniteLatticeError,
-    LatticeError,
-    ParseError,
-    discriminant_form,
-    enumerate_norm_vectors,
-    gram,
-    parse_lattice_expr,
-    signature,
-)
-from .ramified import PerturbationData, euler_perturbation
-from .topology import descriptor_invariants, propagate, verify
-from .walls import cusp_stratum
+from . import (atlas as atlas_mod, lattices, ramified, surgery as surgery_mod,
+               topology, walls)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -37,6 +24,12 @@ EXIT_UNSUPPORTED = 3
 # matrix is built; `lattice info "32*E8"` (rank 256) takes about 0.2 s
 # (2 vCPU, Python 3.11)
 MAX_RANK = 256
+
+# most coordinates `lattice roots` may reach, counted before the search as
+# rank times the vectors of norm 1 to --norm (the search reaches all of
+# them); "32*E8" --norm 2 has 7680 * 256 = 1966080 and takes about 3 s
+# (2 vCPU, Python 3.11)
+MAX_ROOT_COORDS = 2_000_000
 
 # largest linking matrix `surgery h1 --matrix` accepts, checked before the
 # Smith normal form runs: dense random 32x32 input with entries up to 10^6
@@ -54,7 +47,8 @@ def _cmd_atlas(args) -> int:
         else:
             print(atlas_mod.atlas_to_dot(a), end="")
         return EXIT_OK
-    report = [c.to_dict() for c in verify(atlas_mod.build_atlas("K4"))]
+    checks = topology.verify(atlas_mod.build_atlas("K4"))
+    report = [c.to_dict() for c in checks]
     failures = [c for c in report if c["status"] == "fail"]
     print(json.dumps({"checks": report, "failures": failures}, indent=2))
     return EXIT_OK if not failures else EXIT_FAIL
@@ -63,25 +57,25 @@ def _cmd_atlas(args) -> int:
 def _cmd_lattice(args) -> int:
     try:
         return _lattice_query(args)
-    except ParseError as exc:
+    except lattices.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-    except LatticeError as exc:
+    except lattices.LatticeError as exc:
         print(f"lattice error: {exc}", file=sys.stderr)
     return EXIT_USAGE
 
 
 def _lattice_query(args) -> int:
-    expr = parse_lattice_expr(args.expr)
+    expr = lattices.parse_lattice_expr(args.expr)
     if expr.rank > MAX_RANK:
         print(f"unsupported: rank {expr.rank} exceeds {MAX_RANK}",
               file=sys.stderr)
         return EXIT_UNSUPPORTED
-    g = gram(expr)
+    g = lattices.gram(expr)
     if args.lattice_cmd == "info":
-        df = discriminant_form(g)
+        df = lattices.discriminant_form(g)
         print(f"expression: {expr}")
         print(f"rank: {g.rank}")
-        print(f"signature: {signature(g)}")
+        print(f"signature: {lattices.signature(g)}")
         print(f"determinant: {g.det()}")
         print(f"discriminant group: {df.group}")
         print(f"two-rank: {df.group.two_rank}")
@@ -89,9 +83,15 @@ def _lattice_query(args) -> int:
         print(f"q on generators (mod 2): [{qs}]")
         print(f"two-part integer: {'yes' if df.two_part_integer else 'no'}")
         return EXIT_OK
+    limit = MAX_ROOT_COORDS // expr.rank
     try:
-        roots = enumerate_norm_vectors(g, args.norm)
-    except IndefiniteLatticeError as exc:
+        if lattices.count_short_vectors(expr, args.norm, limit) is None:
+            print(f"unsupported: more than {limit} vectors of norm 1 to "
+                  f"{args.norm} in rank {expr.rank} (at most "
+                  f"{MAX_ROOT_COORDS} coordinates)", file=sys.stderr)
+            return EXIT_UNSUPPORTED
+        roots = lattices.enumerate_norm_vectors(g, args.norm)
+    except lattices.IndefiniteLatticeError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     print(json.dumps({"expression": str(expr), "norm": args.norm,
@@ -119,7 +119,8 @@ def _cmd_cusp(args) -> int:
     if edge is None:
         print(f"{sid}:{tid} is not an atlas edge", file=sys.stderr)
         return EXIT_USAGE
-    out = cusp_stratum((ends[edge.source], ends[edge.target])).to_dict()
+    verdict = walls.cusp_stratum((ends[edge.source], ends[edge.target]))
+    out = verdict.to_dict()
     out["edge"] = f"{edge.source}:{edge.target}"
     print(json.dumps(out, indent=2))
     return EXIT_OK
@@ -127,12 +128,12 @@ def _cmd_cusp(args) -> int:
 
 def _table_rows():
     a = atlas_mod.build_atlas("K4")
-    res = propagate(a)
+    res = topology.propagate(a)
     rows = []
     for vid in sorted(a.vertices):
         v = a.vertex(vid)
         asg = res[vid]
-        b_star, chi, *_ = descriptor_invariants(asg.descriptor)
+        b_star, chi, *_ = topology.descriptor_invariants(asg.descriptor)
         rows.append({
             "vertex": str(vid), "r": v.r, "d": v.d,
             "type": "I" if v.type_one else "II",
@@ -162,8 +163,8 @@ def _cmd_topology(args) -> int:
 
 
 def _cmd_ramified(args) -> int:
-    chi = euler_perturbation(
-        PerturbationData(args.chiP, args.chiPplus, args.chiL))
+    chi = ramified.euler_perturbation(
+        ramified.PerturbationData(args.chiP, args.chiPplus, args.chiL))
     r = 11 + (1 - chi) // 2 if (1 - chi) % 2 == 0 else None
     out = {"chi": chi}
     if r is not None:

@@ -527,17 +527,9 @@ def two_part(g: GramMatrix) -> tuple[int, bool]:
 # short vectors and 6-roots
 
 
-def enumerate_norm_vectors(g: GramMatrix, norm: int) -> list[Vector]:
-    """All v with v.g.v == norm in a positive definite lattice, sorted.
-
-    Fincke-Pohst depth-first search in integers: with D, B from _eliminate
-    and y_k = D_k x_k + sum_{j>k} B_kj x_j, v.g.v = sum y_k^2 / (D_{k-1} D_k).
-    Scaled by L = lcm(D_{k-1} D_k), the weights w_k = L / (D_{k-1} D_k) and
-    the remaining norm are integers, so |y_k| <= isqrt(rem // w_k) bounds
-    x_k exactly. Positive definite iff every minor is positive (Sylvester).
-    """
-    if norm <= 0:
-        raise LatticeError("norm must be positive")
+def _search_plan(g: GramMatrix):
+    """(minors D, weights w, nonzero B_kj by row, scale L) of the short-vector
+    search in a positive definite g; see enumerate_norm_vectors."""
     minors, b = _eliminate(g.rows())
     if any(d <= 0 for d in minors):
         raise IndefiniteLatticeError(
@@ -549,9 +541,23 @@ def enumerate_norm_vectors(g: GramMatrix, norm: int) -> list[Vector]:
     # the nonzero B_kj, j > k: Gram matrices of sums are sparse
     cols = [[(j, r[j]) for j in range(k + 1, n) if r[j]]
             for k, r in enumerate(b)]
+    return minors, w, cols, scale
 
+
+def enumerate_norm_vectors(g: GramMatrix, norm: int) -> list[Vector]:
+    """All v with v.g.v == norm in a positive definite lattice, sorted.
+
+    Fincke-Pohst depth-first search in integers: with D, B from _eliminate
+    and y_k = D_k x_k + sum_{j>k} B_kj x_j, v.g.v = sum y_k^2 / (D_{k-1} D_k).
+    Scaled by L = lcm(D_{k-1} D_k), the weights w_k = L / (D_{k-1} D_k) and
+    the remaining norm are integers, so |y_k| <= isqrt(rem // w_k) bounds
+    x_k exactly. Positive definite iff every minor is positive (Sylvester).
+    """
+    if norm <= 0:
+        raise LatticeError("norm must be positive")
+    minors, w, cols, scale = _search_plan(g)
     out: list[Vector] = []
-    x = [0] * n
+    x = [0] * g.rank
 
     def dfs(k: int, rem: int) -> None:
         if k < 0:
@@ -565,8 +571,92 @@ def enumerate_norm_vectors(g: GramMatrix, norm: int) -> list[Vector]:
             y = d * xk + t
             dfs(k - 1, rem - w[k] * y * y)
 
-    dfs(n - 1, scale * norm)
+    dfs(g.rank - 1, scale * norm)
     return sorted(out)
+
+
+class _TooMany(Exception):
+    """A count passed the caller's limit."""
+
+
+def _norm_counts(g: GramMatrix, norm: int, limit: int) -> dict[int, int]:
+    """{k: number of v with v.g.v == k} for 0 <= k <= norm: the search of
+    enumerate_norm_vectors, counting every vector it reaches (at leaf level
+    the scaled remainder is L (norm - v.g.v)). Stops with _TooMany once more
+    than ``limit`` nonzero vectors are reached."""
+    minors, w, cols, scale = _search_plan(g)
+    counts: dict[int, int] = {}
+    x = [0] * g.rank
+    reached = -1  # the zero vector is free
+
+    def dfs(k: int, rem: int) -> None:
+        nonlocal reached
+        if k < 0:
+            square = norm - rem // scale
+            counts[square] = counts.get(square, 0) + 1
+            reached += 1
+            if reached > limit:
+                raise _TooMany
+            return
+        d, t = minors[k], sum(bkj * x[j] for j, bkj in cols[k])
+        m = math.isqrt(rem // w[k])
+        for xk in range(-((m + t) // d), (m - t) // d + 1):
+            x[k] = xk
+            y = d * xk + t
+            dfs(k - 1, rem - w[k] * y * y)
+
+    dfs(g.rank - 1, scale * norm)
+    return counts
+
+
+def _times(p: dict[int, int], q: dict[int, int], norm: int,
+           limit: int) -> dict[int, int]:
+    """The product of two theta series, cut at ``norm``; _TooMany once it
+    holds more than ``limit`` nonzero vectors. Each inner step adds at least
+    one vector, so the work is bounded by the limit."""
+    out: dict[int, int] = {}
+    reached = -1
+    q_items = sorted(q.items())
+    for a, ca in p.items():
+        for b, cb in q_items:
+            if a + b > norm:
+                break
+            out[a + b] = out.get(a + b, 0) + ca * cb
+            reached += ca * cb
+        if reached > limit:
+            raise _TooMany
+    return out
+
+
+def count_short_vectors(expr: LatticeExpr, norm: int,
+                        limit: int) -> int | None:
+    """How many v with 0 < v.v <= norm a positive definite expression has,
+    or None when that is more than ``limit``.
+
+    This bounds both the output and the work of enumerate_norm_vectors,
+    whose search reaches every such vector. The theta series of an
+    orthogonal sum is the product of its summands' series, so each distinct
+    atom is searched once, and no search or product goes past the limit
+    (a summand has no more short vectors than the whole sum).
+    """
+    if norm <= 0:
+        raise LatticeError("norm must be positive")
+    series = {0: 1}
+    atoms: dict[LatticeExpr, dict[int, int]] = {}
+    try:
+        for t in expr.terms:
+            atom = LatticeExpr((Term(1, t.kind, t.n, t.scale),))
+            if atom not in atoms:
+                atoms[atom] = _norm_counts(gram(atom), norm, limit)
+            if len(atoms[atom]) == 1:  # no short vectors: copies add none
+                continue
+            # each copy adds at least two short vectors, so this loop stops
+            # within limit / 2 copies
+            for _ in range(t.mult):
+                series = _times(series, atoms[atom], norm, limit)
+    except _TooMany:
+        return None
+    return sum(series.values()) - 1
 
 
 def is_six_root(v: Vector, g: GramMatrix) -> bool:

@@ -49,6 +49,36 @@ def test_lattice_roots(capsys):
     assert code == 3 and "unsupported" in err
 
 
+def _refuse_search(monkeypatch):
+    def fail(g, norm):
+        raise AssertionError("the short-vector search ran")
+    monkeypatch.setattr(realcubic.lattices, "enumerate_norm_vectors", fail)
+
+
+def test_lattice_roots_refuses_oversized_output(capsys, monkeypatch):
+    # 32*2160 + 496*240^2 vectors of norm 4 in rank 256: about 7.3e9
+    # coordinates, refused from the E8 theta series before the search
+    _refuse_search(monkeypatch)
+    code, out, err = run(capsys, "lattice", "roots", "32*E8", "--norm", "4")
+    limit = realcubic.cli.MAX_ROOT_COORDS // 256
+    assert code == 3 and out == ""
+    assert err.strip() == (
+        f"unsupported: more than {limit} vectors of norm 1 to 4 in rank 256 "
+        f"(at most {realcubic.cli.MAX_ROOT_COORDS} coordinates)")
+
+
+def test_lattice_roots_cap_boundary(capsys, monkeypatch):
+    # E8 has 240 vectors of norm 1 to 2, so 240 * 8 coordinates
+    monkeypatch.setattr(realcubic.cli, "MAX_ROOT_COORDS", 240 * 8)
+    code, out, _ = run(capsys, "lattice", "roots", "E8", "--norm", "2")
+    assert code == 0 and json.loads(out)["count"] == 240
+    monkeypatch.setattr(realcubic.cli, "MAX_ROOT_COORDS", 240 * 8 - 1)
+    _refuse_search(monkeypatch)
+    code, out, err = run(capsys, "lattice", "roots", "E8", "--norm", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("unsupported: more than 239 vectors of norm 1 to 2")
+
+
 @pytest.mark.parametrize("argv", [
     ("info", "99999999999*A1"),
     ("info", "257*A1"),
@@ -322,7 +352,7 @@ def cusp_calls(monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for mod in (realcubic.cli, realcubic.topology):
+    for mod in (realcubic.walls, realcubic.topology):
         monkeypatch.setattr(mod, "cusp_stratum", counting)
     return calls
 

@@ -15,6 +15,7 @@ from realcubic.lattices import (
     LatticeExpr,
     ParseError,
     Term,
+    count_short_vectors,
     discriminant_form,
     discriminant_group,
     enumerate_norm_vectors,
@@ -419,6 +420,35 @@ def test_enumerate_norm6_vs_oracle(text):
     vecs = enumerate_norm_vectors(g, 6)
     assert len(vecs) == box_oracle_counts(g, 6)
     assert all(g.norm(v) == 6 for v in vecs)
+
+
+@pytest.mark.parametrize("text,norm", [
+    ("E8", 4), ("A2+<3>+E8(2)", 6), ("2*A1+D4", 4), ("E8+E8", 4),
+    ("<1>+<2>(3)", 9), ("A3(2)+<5>+A3(2)", 10),
+])
+def test_count_short_vectors_is_the_enumerated_count(text, norm):
+    # from the atoms' theta series; the limit is exact at the boundary
+    expr = parse_lattice_expr(text)
+    g = gram(expr)
+    count = sum(len(enumerate_norm_vectors(g, k)) for k in range(1, norm + 1))
+    assert count_short_vectors(expr, norm, count) == count
+    assert count_short_vectors(expr, norm, count - 1) is None
+
+
+def test_count_short_vectors_stops_at_the_limit():
+    # no copy of A1 has norm 1; at norm 2 each adds two vectors
+    huge = parse_lattice_expr("99999999999*A1")
+    assert count_short_vectors(huge, 1, 10) == 0
+    assert count_short_vectors(huge, 2, 10) is None
+    # 28.6 M vectors of norm 4, found past the limit from E8's series
+    assert count_short_vectors(parse_lattice_expr("32*E8"), 4, 10**6) is None
+
+
+def test_count_short_vectors_rejects_bad_input():
+    with pytest.raises(LatticeError, match="norm must be positive"):
+        count_short_vectors(parse_lattice_expr("E8"), 0, 10)
+    with pytest.raises(IndefiniteLatticeError):
+        count_short_vectors(parse_lattice_expr("A2+U"), 2, 10)
 
 
 def test_enumerate_rejects_indefinite():
