@@ -292,6 +292,14 @@ def _two_rank(g: GramMatrix) -> int:
     return sum(_block_corank_f2(b) for b in g.component_blocks)
 
 
+def coordinates(r: int, d: int) -> tuple[int, int]:
+    """The (i, j) of a class with invariants (r, d): i = (22 - r - d) / 2 and
+    j = (r - d) / 2, integers iff r - d is even (then so is 22 - r - d)."""
+    if (r - d) % 2:
+        raise ValueError(f"(r, d) = ({r}, {d}) gives non-integer (i, j)")
+    return (22 - r - d) // 2, (r - d) // 2
+
+
 def vertex_invariants(v: VertexData) -> tuple[int, int, int, int, int, int]:
     """(r, d, i, j, b_star, chi), checked against the stored id.
 
@@ -314,9 +322,10 @@ def vertex_invariants(v: VertexData) -> tuple[int, int, int, int, int, int]:
     d = d_minus
     if d != v.d:
         raise ValueError(f"{v.id}: two-rank {d} != the table's {v.d}")
-    if (22 - r - d) % 2 or (r - d) % 2:
-        raise ValueError(f"{v.id}: (r, d) = ({r}, {d}) gives non-integer (i, j)")
-    i, j = (22 - r - d) // 2, (r - d) // 2
+    try:
+        i, j = coordinates(r, d)
+    except ValueError as exc:
+        raise ValueError(f"{v.id}: {exc}") from None
     if (i, j) != (v.id.i, v.id.j) or i < 0 or j < 0:
         raise ValueError(f"{v.id}: computed coordinates ({i}, {j}) mismatch")
     return r, d, i, j, 27 - 2 * d, 23 - 2 * r

@@ -133,12 +133,11 @@ def _table_rows():
     for vid in sorted(a.vertices):
         v = a.vertex(vid)
         asg = res[vid]
-        b_star, chi, *_ = topology.descriptor_invariants(asg.descriptor)
         rows.append({
             "vertex": str(vid), "r": v.r, "d": v.d,
             "type": "I" if v.type_one else "II",
             "descriptor": str(asg.descriptor),
-            "b_star": b_star, "chi": chi,
+            "b_star": asg.descriptor.b_star, "chi": asg.descriptor.chi,
             "justification": list(asg.justification),
         })
     return rows

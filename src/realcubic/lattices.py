@@ -527,9 +527,17 @@ def two_part(g: GramMatrix) -> tuple[int, bool]:
 # short vectors and 6-roots
 
 
-def _search_plan(g: GramMatrix):
-    """(minors D, weights w, nonzero B_kj by row, scale L) of the short-vector
-    search in a positive definite g; see enumerate_norm_vectors."""
+def _walk(g: GramMatrix, norm: int, leaf) -> None:
+    """Call leaf(x, v.g.v) on every v with v.g.v <= norm in a positive
+    definite g; x is the live coordinate list, to be copied if kept.
+
+    Fincke-Pohst depth-first search in integers: with D, B from _eliminate
+    and y_k = D_k x_k + sum_{j>k} B_kj x_j, v.g.v = sum y_k^2 / (D_{k-1} D_k).
+    Scaled by L = lcm(D_{k-1} D_k), the weights w_k = L / (D_{k-1} D_k) and
+    the remaining norm are integers, so |y_k| <= isqrt(rem // w_k) bounds
+    x_k exactly, and at leaf level rem = L (norm - v.g.v). Positive definite
+    iff every minor is positive (Sylvester).
+    """
     minors, b = _eliminate(g.rows())
     if any(d <= 0 for d in minors):
         raise IndefiniteLatticeError(
@@ -541,28 +549,11 @@ def _search_plan(g: GramMatrix):
     # the nonzero B_kj, j > k: Gram matrices of sums are sparse
     cols = [[(j, r[j]) for j in range(k + 1, n) if r[j]]
             for k, r in enumerate(b)]
-    return minors, w, cols, scale
-
-
-def enumerate_norm_vectors(g: GramMatrix, norm: int) -> list[Vector]:
-    """All v with v.g.v == norm in a positive definite lattice, sorted.
-
-    Fincke-Pohst depth-first search in integers: with D, B from _eliminate
-    and y_k = D_k x_k + sum_{j>k} B_kj x_j, v.g.v = sum y_k^2 / (D_{k-1} D_k).
-    Scaled by L = lcm(D_{k-1} D_k), the weights w_k = L / (D_{k-1} D_k) and
-    the remaining norm are integers, so |y_k| <= isqrt(rem // w_k) bounds
-    x_k exactly. Positive definite iff every minor is positive (Sylvester).
-    """
-    if norm <= 0:
-        raise LatticeError("norm must be positive")
-    minors, w, cols, scale = _search_plan(g)
-    out: list[Vector] = []
-    x = [0] * g.rank
+    x = [0] * n
 
     def dfs(k: int, rem: int) -> None:
         if k < 0:
-            if rem == 0:
-                out.append(tuple(x))
+            leaf(x, norm - rem // scale)
             return
         d, t = minors[k], sum(bkj * x[j] for j, bkj in cols[k])
         m = math.isqrt(rem // w[k])
@@ -571,7 +562,21 @@ def enumerate_norm_vectors(g: GramMatrix, norm: int) -> list[Vector]:
             y = d * xk + t
             dfs(k - 1, rem - w[k] * y * y)
 
-    dfs(g.rank - 1, scale * norm)
+    dfs(n - 1, scale * norm)
+
+
+def enumerate_norm_vectors(g: GramMatrix, norm: int) -> list[Vector]:
+    """All v with v.g.v == norm in a positive definite lattice, sorted:
+    the leaves of ``_walk`` at that square."""
+    if norm <= 0:
+        raise LatticeError("norm must be positive")
+    out: list[Vector] = []
+
+    def keep(x: list[int], square: int) -> None:
+        if square == norm:
+            out.append(tuple(x))
+
+    _walk(g, norm, keep)
     return sorted(out)
 
 
@@ -580,32 +585,20 @@ class _TooMany(Exception):
 
 
 def _norm_counts(g: GramMatrix, norm: int, limit: int) -> dict[int, int]:
-    """{k: number of v with v.g.v == k} for 0 <= k <= norm: the search of
-    enumerate_norm_vectors, counting every vector it reaches (at leaf level
-    the scaled remainder is L (norm - v.g.v)). Stops with _TooMany once more
-    than ``limit`` nonzero vectors are reached."""
-    minors, w, cols, scale = _search_plan(g)
+    """{k: number of v with v.g.v == k} for 0 <= k <= norm, tallied over the
+    leaves of ``_walk``. Stops with _TooMany once more than ``limit``
+    nonzero vectors are reached."""
     counts: dict[int, int] = {}
-    x = [0] * g.rank
     reached = -1  # the zero vector is free
 
-    def dfs(k: int, rem: int) -> None:
+    def tally(x: list[int], square: int) -> None:
         nonlocal reached
-        if k < 0:
-            square = norm - rem // scale
-            counts[square] = counts.get(square, 0) + 1
-            reached += 1
-            if reached > limit:
-                raise _TooMany
-            return
-        d, t = minors[k], sum(bkj * x[j] for j, bkj in cols[k])
-        m = math.isqrt(rem // w[k])
-        for xk in range(-((m + t) // d), (m - t) // d + 1):
-            x[k] = xk
-            y = d * xk + t
-            dfs(k - 1, rem - w[k] * y * y)
+        counts[square] = counts.get(square, 0) + 1
+        reached += 1
+        if reached > limit:
+            raise _TooMany
 
-    dfs(g.rank - 1, scale * norm)
+    _walk(g, norm, tally)
     return counts
 
 

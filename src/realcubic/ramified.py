@@ -43,11 +43,9 @@ def lift_morse_index(q: int) -> int:
 
 def add_unknotted_handle(d: RealLocusDescriptor, p: int, q: int
                          ) -> RealLocusDescriptor:
-    """Connected sum with an unknotted S^p x S^q: costs an extra S^1 x S^(n-1)."""
-    n = d.dimension
-    if p + q != n:
-        raise ValueError(f"handle ({p}, {q}) does not fit dimension {n}")
-    return d.with_handle(1, n - 1).with_handle(p, q)
+    """Connected sum with an unknotted S^p x S^q, p + q = 4: costs an extra
+    S^1 x S^3."""
+    return d.with_handle(1, 3).with_handle(p, q)
 
 
 def handle_counts(n: int, k: int) -> int:

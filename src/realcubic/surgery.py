@@ -187,12 +187,16 @@ def spiral_scenario() -> SpiralReport:
         f"Bezout constraint |3p + 4q| = 1 with p, q in {{+-1, +-3}} holds: "
         f"solutions {bezout}")
 
-    # homology bookkeeping on the boundary torus: with [m+] = [l1] + [l2],
-    # [L] = [l2] - 3[l1] = [m+] - 4[l1], so in the basis ([m+], -[l1]) the
-    # class of L has coefficients (1, 4)
-    coeff_mplus, coeff_neg_l1 = 1, 4
-    if (coeff_mplus * 1 - 0, coeff_mplus * 1 - coeff_neg_l1) != (1, -3):
-        raise AssertionError("[L] is not [l2] - 3[l1]")
+    # homology bookkeeping on the boundary torus, in (l1, l2) coordinates:
+    # [m+] = [l1] + [l2] and [L] = [l2] - 3[l1]; Cramer's rule solves
+    # [L] = a [m+] + b (-[l1]) (a basis: det = 1) for (a, b) = (1, 4)
+    m_plus, neg_l1, cls_l = (1, 1), (-1, 0), (-3, 1)
+    det = m_plus[0] * neg_l1[1] - m_plus[1] * neg_l1[0]
+    coeffs = ((cls_l[0] * neg_l1[1] - cls_l[1] * neg_l1[0]) // det,
+              (m_plus[0] * cls_l[1] - m_plus[1] * cls_l[0]) // det)
+    if coeffs != (1, 4):
+        raise AssertionError(f"[L] has coefficients {coeffs}, not (1, 4), "
+                             "in the basis ([m+], -[l1])")
     rep.notes.append("[L] = [l2] - 3[l1] = [m+] - 4[l1]: coefficients (1, 4) "
                      "in the basis ([m+], -[l1])")
     # [m-] = -[m+] + 2[l1] identifies the torus framing -2 of K

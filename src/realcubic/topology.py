@@ -1,7 +1,8 @@
 """Morse-move bookkeeping on real-locus descriptors.
 
-A descriptor is RP^n with connected-sum handles S^p x S^q and disjoint
-n-spheres — the closure of everything the classification constructs. Morse
+A descriptor is RP4 with connected-sum handles S^p x S^q (p + q = 4) and
+disjoint 4-spheres — the closure of everything the classification
+constructs, the real loci of cubic fourfolds being 4-manifolds. Morse
 events transform descriptors only in the supported cases; the propagation
 routine walks the K4-graph and assigns every class its real locus together
 with a justification chain; ``verify`` runs it after the atlas checks and the
@@ -25,6 +26,7 @@ from .atlas import (
     CheckResult,
     Edge,
     VertexId,
+    coordinates,
     validate_atlas,
 )
 from .ramified import add_unknotted_handle, lift_morse_index
@@ -37,30 +39,24 @@ class UnsupportedMorseError(ValueError):
 
 @dataclass(frozen=True)
 class RealLocusDescriptor:
-    dimension: int = 4
-    handles: tuple[tuple[int, int], ...] = ()  # sorted (p, q), p <= q, p+q = n
+    handles: tuple[tuple[int, int], ...] = ()  # sorted (p, q), p <= q, p+q = 4
     disjoint_spheres: int = 0
 
     def __post_init__(self):
-        n = self.dimension
         for (p, q) in self.handles:
-            if p + q != n or p < 0 or p > q:
-                raise ValueError(f"bad handle ({p}, {q}) in dimension {n}")
+            if p + q != 4 or p < 0 or p > q:
+                raise ValueError(f"bad handle ({p}, {q}) in dimension 4")
         if tuple(sorted(self.handles)) != self.handles:
             raise ValueError("handles must be sorted")
         if self.disjoint_spheres < 0:
             raise ValueError("negative sphere count")
 
     def with_handle(self, p: int, q: int) -> "RealLocusDescriptor":
-        if p + q != self.dimension:
-            raise ValueError(f"handle ({p}, {q}) does not fit dimension "
-                             f"{self.dimension}")
         h = tuple(sorted(self.handles + (tuple(sorted((p, q))),)))
-        return RealLocusDescriptor(self.dimension, h, self.disjoint_spheres)
+        return RealLocusDescriptor(h, self.disjoint_spheres)
 
     def with_sphere(self) -> "RealLocusDescriptor":
-        return RealLocusDescriptor(self.dimension, self.handles,
-                                   self.disjoint_spheres + 1)
+        return RealLocusDescriptor(self.handles, self.disjoint_spheres + 1)
 
     @property
     def connected(self) -> bool:
@@ -68,29 +64,23 @@ class RealLocusDescriptor:
 
     @property
     def b_star(self) -> int:
-        return (self.dimension + 1) + 2 * len(self.handles) \
-            + 2 * self.disjoint_spheres
+        return 5 + 2 * len(self.handles) + 2 * self.disjoint_spheres
 
     @property
     def chi(self) -> int:
-        n = self.dimension
-        chi_rp = 1 if n % 2 == 0 else 0
-        chi_sn = 1 + (-1) ** n
-        total = chi_rp
-        for (p, q) in self.handles:
-            total += (1 + (-1) ** p) * (1 + (-1) ** q) - chi_sn
-        total += self.disjoint_spheres * chi_sn
-        return total
+        # a handle adds chi(S^p x S^q) - chi(S4): +2 for p even, -2 for p odd
+        return (1 + sum(2 if p % 2 == 0 else -2 for p, _ in self.handles)
+                + 2 * self.disjoint_spheres)
 
     def __str__(self) -> str:
-        parts = [f"RP{self.dimension}"]
+        parts = ["RP4"]
         counts = Counter(self.handles)
         for (p, q) in sorted(counts, reverse=True):
             parts.append(f"{counts[(p, q)]}(S{p}xS{q})")
         s = " # ".join(parts)
         if self.disjoint_spheres:
-            s += f" + {self.disjoint_spheres}S{self.dimension}" \
-                if self.disjoint_spheres > 1 else f" + S{self.dimension}"
+            s += f" + {self.disjoint_spheres}S4" \
+                if self.disjoint_spheres > 1 else " + S4"
         return s
 
 
@@ -109,18 +99,15 @@ class MorseEvent:
 
 def descriptor_invariants(d: RealLocusDescriptor
                           ) -> tuple[int, int, int, int, int, int]:
-    """(b_star, chi, r, d_coord, i, j) of a 4-dimensional descriptor."""
+    """(b_star, chi, r, d_coord, i, j) of a descriptor.
+
+    b* and chi are odd, so r = 11 + (1 - chi) / 2 and d = (27 - b*) / 2 are
+    integers, and r - d = 2 #(S1xS3): with a handles with p even, b handles
+    S1xS3 and s spheres, (i, j) = (a + s, b).
+    """
     b_star, chi = d.b_star, d.chi
-    if d.dimension != 4:
-        raise ValueError("coordinate formulas require dimension 4")
-    if (1 - chi) % 2 or (27 - b_star) % 2:
-        raise ValueError(f"non-integer coordinates from (b*, chi) = "
-                         f"({b_star}, {chi})")
-    r = 11 + (1 - chi) // 2
-    d_coord = (27 - b_star) // 2
-    if (22 - r - d_coord) % 2 or (r - d_coord) % 2:
-        raise ValueError(f"malformed descriptor: (r, d) = ({r}, {d_coord})")
-    return b_star, chi, r, d_coord, (22 - r - d_coord) // 2, (r - d_coord) // 2
+    r, d_coord = 11 + (1 - chi) // 2, (27 - b_star) // 2
+    return b_star, chi, r, d_coord, *coordinates(r, d_coord)
 
 
 _BIRTH_WALL = (VertexId(0, 0), VertexId(1, 0, special=True))
@@ -140,8 +127,8 @@ def apply_morse(d: RealLocusDescriptor, e: MorseEvent) -> RealLocusDescriptor:
     """Apply a supported Morse modification.
 
     Index 0 births a sphere; index 1 on a connected non-orientable locus adds
-    S^1 x S^(n-1); index 2 with trivial core (w2 = 0 throughout) adds
-    S^2 x S^2 in dimension 4. Everything else is rejected.
+    S^1 x S^3; index 2 with trivial core (w2 = 0 throughout) adds S^2 x S^2.
+    Everything else is rejected.
     """
     if e.index == 0:
         return d.with_sphere()
@@ -149,14 +136,14 @@ def apply_morse(d: RealLocusDescriptor, e: MorseEvent) -> RealLocusDescriptor:
         if not d.connected:
             raise UnsupportedMorseError(
                 "index-1 modification supported only on a connected locus")
-        return d.with_handle(1, d.dimension - 1)
-    if e.index == 2 and d.dimension == 4:
+        return d.with_handle(1, 3)
+    if e.index == 2:
         if not e.core_trivial:
             raise UnsupportedMorseError(
                 "index-2 modification requires a trivial core class")
         return d.with_handle(2, 2)
     raise UnsupportedMorseError(
-        f"no descriptor rule for index {e.index} in dimension {d.dimension}")
+        f"no descriptor rule for index {e.index} in dimension 4")
 
 
 @dataclass(frozen=True)

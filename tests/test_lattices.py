@@ -435,6 +435,36 @@ def test_count_short_vectors_is_the_enumerated_count(text, norm):
     assert count_short_vectors(expr, norm, count - 1) is None
 
 
+# positive definite atoms: (kind, n) with A_n, D_n, E_n, and <k> as ("diag", k)
+DEFINITE_ATOMS = [("A", n) for n in range(1, 6)] + [("D", 4), ("D", 5)] \
+    + [("E", n) for n in (6, 7, 8)] + [("diag", k) for k in (1, 2, 3, 5)]
+
+
+@st.composite
+def definite_exprs(draw) -> LatticeExpr:
+    """One to four terms of rank <= 10 in all, each of one or two copies of
+    a definite atom, some of them scaled by 2 or 3."""
+    terms, room = [], 10
+    for _ in range(draw(st.integers(1, 4))):
+        kind, n = draw(st.sampled_from(DEFINITE_ATOMS))
+        t = Term(draw(st.integers(1, 2)), kind, n,
+                 draw(st.sampled_from((1, 1, 2, 3))))
+        if t.mult * t.atom_rank <= room:
+            terms.append(t)
+            room -= t.mult * t.atom_rank
+    return LatticeExpr(tuple(terms) or (Term(1, "A", 1),))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(definite_exprs(), st.integers(1, 4))
+def test_count_short_vectors_is_the_enumerated_count_drawn(expr, norm):
+    # the product of the atoms' series against one walk of the whole sum
+    g = gram(expr)
+    count = sum(len(enumerate_norm_vectors(g, k)) for k in range(1, norm + 1))
+    assert count_short_vectors(expr, norm, count) == count
+    assert count_short_vectors(expr, norm, count - 1) is None
+
+
 def test_count_short_vectors_stops_at_the_limit():
     # no copy of A1 has norm 1; at norm 2 each adds two vectors
     huge = parse_lattice_expr("99999999999*A1")

@@ -1,5 +1,6 @@
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -34,16 +35,27 @@ def test_descriptor_formulas():
         for j in range(4):
             for s in range(3):
                 d = RealLocusDescriptor(
-                    4, tuple(sorted([(2, 2)] * i + [(1, 3)] * j)), s)
+                    tuple(sorted([(2, 2)] * i + [(1, 3)] * j)), s)
                 assert d.b_star == 5 + 2 * i + 2 * j + 2 * s
                 assert d.chi == 1 + 2 * i - 2 * j + 2 * s
 
 
+def test_descriptor_coordinates_count_handles_and_spheres():
+    # a handles with p even, b handles S1xS3 and s spheres give
+    # (i, j) = (a + s, b): r and d are integers and r - d is even for every
+    # descriptor, so descriptor_invariants has nothing to refuse
+    for a0, a2, b, s in product(range(3), repeat=4):
+        d = RealLocusDescriptor(
+            tuple(sorted([(0, 4)] * a0 + [(2, 2)] * a2 + [(1, 3)] * b)), s)
+        *_, i, j = descriptor_invariants(d)
+        assert (i, j) == (a0 + a2 + s, b)
+
+
 def test_descriptor_validation():
     with pytest.raises(ValueError):
-        RealLocusDescriptor(4, ((2, 3),))
+        RealLocusDescriptor(((2, 3),))
     with pytest.raises(ValueError):
-        RealLocusDescriptor(4, (), -1)
+        RealLocusDescriptor((), -1)
     with pytest.raises(ValueError):
         RP4.with_handle(2, 3)
 
@@ -53,7 +65,7 @@ def test_descriptor_str():
     assert str(RP4.with_sphere()) == "RP4 + S4"
     two = RP4.with_sphere().with_sphere()
     assert str(two) == "RP4 + 2S4"
-    d = RealLocusDescriptor(4, ((1, 3), (2, 2), (2, 2)))
+    d = RealLocusDescriptor(((1, 3), (2, 2), (2, 2)))
     assert str(d) == "RP4 # 2(S2xS2) # 1(S1xS3)"
 
 
