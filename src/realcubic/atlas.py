@@ -16,6 +16,7 @@ from functools import lru_cache
 from .lattices import (
     GramMatrix,
     LatticeExpr,
+    Term,
     Vector,
     gram,
     parse_lattice_expr,
@@ -164,16 +165,18 @@ _K3_REAL_LOCUS = {
 _K3_L_PLUS = {VertexId(10, 1): "U"}
 
 
+@lru_cache(maxsize=None)
+def _table_term(text: str) -> Term:
+    (term,) = parse_lattice_expr(text).terms
+    return term
+
+
 def _principal_expr(template: str, k: int) -> LatticeExpr:
-    parts = template.split("+")
-    out = []
-    for p in parts:
-        if "{k}" in p:
-            if k == 0:
-                continue
-            p = "A1" if k == 1 else f"{k}*A1"
-        out.append(p)
-    return parse_lattice_expr("+".join(out))
+    """The template with k copies of A1 as its "{k}*A1" term (none if
+    k = 0); every other term is parsed once (``_table_term``)."""
+    return LatticeExpr(tuple(
+        Term(k, "A", 1) if "{k}" in p else _table_term(p)
+        for p in template.split("+") if k or "{k}" not in p))
 
 
 def table1_domain() -> set[tuple[int, int]]:
@@ -220,7 +223,8 @@ def table_vertex(vid: VertexId) -> VertexData:
     if vid.special and (i, j) in _TABLE_SPECIAL:
         plus, minus = _TABLE_SPECIAL[(i, j)]
         m_plus0, m_minus = parse_lattice_expr(plus), parse_lattice_expr(minus)
-    elif not vid.special and (i, j) in table1_domain():
+    elif not vid.special and i in _TABLE_PLUS and 0 <= j <= _TABLE_PLUS[i][0]:
+        # (i, j) in table1_domain(), read off the table without building it
         jmax_p, tpl_p = _TABLE_PLUS[i]
         imax_m, tpl_m = _TABLE_MINUS[j]
         m_plus0 = _principal_expr(tpl_p, jmax_p - j)

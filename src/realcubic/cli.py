@@ -79,7 +79,8 @@ def _lattice_query(args) -> int:
         print(f"determinant: {g.det()}")
         print(f"discriminant group: {df.group}")
         print(f"two-rank: {df.group.two_rank}")
-        qs = ", ".join(str(q) for q in df.q_values)
+        qs = ", ".join(f"{n}/{d}" if d != 1 else str(n)
+                       for n, d in df.q_values)
         print(f"q on generators (mod 2): [{qs}]")
         print(f"two-part integer: {'yes' if df.two_part_integer else 'no'}")
         return EXIT_OK

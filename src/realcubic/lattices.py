@@ -4,10 +4,12 @@ Covers the lattice-expression language of the classification tables
 (A_n, D_n, E6/E7/E8, U, rank-1 <k>, integer rescaling), Gram matrices (one
 per expression), signatures and determinants, discriminant groups and
 finite quadratic forms, short-vector enumeration in definite lattices with
-exact integer bounds, and 6-roots. One fraction-free (Bareiss) elimination
-of each distinct orthogonal component gives both its inertia and its
-determinant, and one Smith normal form the 2-part of its discriminant form;
-each is memoized by the component's entries and added up over the sum.
+exact integer bounds, and 6-roots. A Gram matrix is held as its orthogonal
+components: the atom copies of an expression, or the connected blocks of a
+matrix given as rows. One fraction-free (Bareiss) elimination of each
+distinct component gives both its inertia and its determinant, and one
+Smith normal form the 2-part of its discriminant form; each is memoized by
+the component's entries and added up over the sum.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .intmat import matmul, smith_normal_form
 
@@ -126,7 +128,9 @@ def parse_lattice_expr(text: str) -> LatticeExpr:
     expr := term ("+" term)* ; term := [INT "*"] atom ["(" INT ")"] ;
     atom := "A"INT | "D"INT | "E"INT | "U" | "<" SIGNED_INT ">".
     ``_TERM`` matches one term at a time; a term that breaks ``Term``'s
-    rules is a ParseError at the term's first character.
+    rules is a ParseError at the term's first character, and so is an
+    integer too long for ``int`` (Python's limit on the digits of an
+    integer string).
     """
     terms, pos = [], 0
     while True:
@@ -141,6 +145,9 @@ def parse_lattice_expr(text: str) -> LatticeExpr:
                               int(m["scale"] or 1)))
         except LatticeError as exc:
             raise ParseError(str(exc), m.start("term")) from None
+        except ValueError:
+            raise ParseError("integer has too many digits",
+                             m.start("term")) from None
         if m["sep"] is None:
             raise ParseError("expected '+'", m.end())
         if m["sep"] == "":  # the end of the text
@@ -204,8 +211,7 @@ def _atom_gram(term: Term) -> list[list[int]]:
     return g
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """Location of one atom copy inside a block-diagonal Gram matrix."""
 
     label: str
@@ -216,55 +222,49 @@ class Block:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    entries: tuple[tuple[int, ...], ...]
+    """A symmetric integer matrix G, held as its orthogonal components.
+
+    ``components`` are the index sets of the orthogonal summands, each
+    ascending and in the order of their least index, and
+    ``component_blocks`` the principal submatrix of G on each, as tuples of
+    rows; every other entry of G is 0. A block is hashable and its key is
+    its content, so the per-block memos below share one result among equal
+    blocks of any lattice. ``blocks`` names the atom copies of an
+    expression, one per component (none for a matrix given as rows). The
+    rows of G, sparse or dense (``entries``), are derived on first read.
+    """
+
+    components: tuple[tuple[int, ...], ...]
+    component_blocks: tuple[tuple[Vector, ...], ...]
     blocks: tuple[Block, ...] = ()
 
-    @property
+    @cached_property
     def rank(self) -> int:
-        return len(self.entries)
-
-    def rows(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
-
-    @cached_property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """Index sets of the orthogonal summands of G, each ascending.
-
-        They are the connected components of the nonzero pattern of
-        ``entries`` (not ``blocks``, which need not cover every row), in
-        the order of their least index; a dense G is one component.
-        """
-        seen = [False] * self.rank
-        out = []
-        for s in range(self.rank):
-            if seen[s]:
-                continue
-            seen[s] = True
-            comp, stack = [s], [s]
-            while stack:
-                for j, x in enumerate(self.entries[stack.pop()]):
-                    if x and not seen[j]:
-                        seen[j] = True
-                        comp.append(j)
-                        stack.append(j)
-            out.append(tuple(sorted(comp)))
-        return tuple(out)
-
-    @cached_property
-    def component_blocks(self) -> tuple[tuple[Vector, ...], ...]:
-        """The principal submatrix of each component, as tuples of rows.
-
-        A block is hashable and its key is its content, so the per-block
-        memos below share one result among equal blocks of any lattice.
-        """
-        return tuple(tuple(tuple(self.entries[i][j] for j in c) for i in c)
-                     for c in self.components)
+        return sum(map(len, self.components))
 
     @cached_property
     def _sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The nonzero (j, G_ij) of each row i of G."""
-        return tuple(tuple((j, x) for j, x in enumerate(r) if x)
-                     for r in self.entries)
+        """The nonzero (j, G_ij) of each row i of G, read off its block."""
+        rows: list[tuple[tuple[int, int], ...]] = [()] * self.rank
+        for c, b in zip(self.components, self.component_blocks):
+            for i, r in zip(c, b):
+                rows[i] = tuple((j, x) for j, x in zip(c, r) if x)
+        return tuple(rows)
+
+    @cached_property
+    def entries(self) -> tuple[Vector, ...]:
+        """The dense rows of G, for the whole-matrix Smith form and the
+        short-vector walk."""
+        n, out = self.rank, []
+        for sparse in self._sparse_rows:
+            row = [0] * n
+            for j, x in sparse:
+                row[j] = x
+            out.append(tuple(row))
+        return tuple(out)
+
+    def rows(self) -> list[list[int]]:
+        return [list(r) for r in self.entries]
 
     def det(self) -> int:
         """The product of the determinants of the orthogonal components:
@@ -303,29 +303,62 @@ def _check_dim(g: GramMatrix, v: Vector) -> None:
 
 
 @lru_cache(maxsize=None)
+def _atom_block(kind: str, n: int, scale: int) -> tuple[Vector, ...]:
+    """The Gram matrix of one atom copy, rescaled; built once per
+    (kind, n, scale) and shared by every expression that holds the atom."""
+    return tuple(tuple(x * scale for x in r)
+                 for r in _atom_gram(Term(1, kind, n)))
+
+
+@lru_cache(maxsize=None)
 def gram(expr: LatticeExpr) -> GramMatrix:
     """Block-diagonal Gram matrix of the expression, with block layout.
 
-    Built once per expression: ``LatticeExpr`` is frozen and hashable, and a
-    ``GramMatrix`` holds only tuples, so every caller can share it.
+    Each atom copy is one orthogonal component, laid out in term order: the
+    graphs of A_n, D_n, E6/E7/E8, U and <k> are connected, so no component
+    needs to be searched for. Built once per expression: ``LatticeExpr`` is
+    frozen and hashable, and a ``GramMatrix`` holds only tuples, so every
+    caller can share it.
     """
+    comps: list[tuple[int, ...]] = []
+    mats: list[tuple[Vector, ...]] = []
     blocks: list[Block] = []
-    size = expr.rank
-    g = [[0] * size for _ in range(size)]
     pos = 0
     for term in expr.terms:
-        base = _atom_gram(term)
-        k = len(base)
+        m = _atom_block(term.kind, term.n, term.scale)
+        k, label = len(m), term.atom_label()
         for _ in range(term.mult):
-            for i in range(k):
-                for j in range(k):
-                    g[pos + i][pos + j] = base[i][j] * term.scale
-            blocks.append(Block(term.atom_label(), pos, k, term.scale))
+            comps.append(tuple(range(pos, pos + k)))
+            mats.append(m)
+            blocks.append(Block(label, pos, k, term.scale))
             pos += k
-    return GramMatrix(tuple(tuple(r) for r in g), tuple(blocks))
+    return GramMatrix(tuple(comps), tuple(mats), tuple(blocks))
+
+
+def _components(g: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The connected components of the nonzero pattern of a symmetric
+    ``g``, each ascending, in the order of their least index; a dense
+    ``g`` is one component."""
+    seen = [False] * len(g)
+    out = []
+    for s in range(len(g)):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp, stack = [s], [s]
+        while stack:
+            for j, x in enumerate(g[stack.pop()]):
+                if x and not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+                    stack.append(j)
+        out.append(tuple(sorted(comp)))
+    return tuple(out)
 
 
 def gram_from_rows(rows: list[list[int]]) -> GramMatrix:
+    """The Gram matrix with the given rows, split by a scan of its nonzero
+    pattern (``_components``)."""
     g = [[int(x) for x in r] for r in rows]
     n = len(g)
     if any(len(r) != n for r in g):
@@ -334,7 +367,9 @@ def gram_from_rows(rows: list[list[int]]) -> GramMatrix:
         for j in range(n):
             if g[i][j] != g[j][i]:
                 raise LatticeError("Gram matrix must be symmetric")
-    return GramMatrix(tuple(tuple(r) for r in g))
+    comps = _components(g)
+    return GramMatrix(comps, tuple(tuple(tuple(g[i][j] for j in c) for i in c)
+                                   for c in comps))
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +502,15 @@ class DiscriminantForm:
     two_part_integer: bool
 
     @property
-    def q_values(self) -> tuple[Fraction, ...]:
-        """q(g_i) mod 2 as reduced rationals, for display."""
-        return tuple(Fraction(self.w[i][i] % (2 * d * d), d * d)
-                     for i, d in enumerate(self.group.invariant_factors))
+    def q_values(self) -> tuple[tuple[int, int], ...]:
+        """q(g_i) mod 2 as reduced (numerator, denominator) pairs, for
+        display; 0 is (0, 1)."""
+        out = []
+        for i, d in enumerate(self.group.invariant_factors):
+            num, den = self.w[i][i] % (2 * d * d), d * d
+            c = math.gcd(num, den)
+            out.append((num // c, den // c))
+        return tuple(out)
 
 
 def discriminant_form(g: GramMatrix) -> DiscriminantForm:
@@ -506,7 +546,7 @@ def discriminant_form(g: GramMatrix) -> DiscriminantForm:
 
 @lru_cache(maxsize=None)
 def _block_two_part(block: tuple[Vector, ...]) -> tuple[int, bool]:
-    form = discriminant_form(GramMatrix(block))
+    form = discriminant_form(GramMatrix((tuple(range(len(block))),), (block,)))
     return form.group.two_rank, form.two_part_integer
 
 
@@ -580,6 +620,17 @@ def enumerate_norm_vectors(g: GramMatrix, norm: int) -> list[Vector]:
     return sorted(out)
 
 
+def _root_count(t: Term) -> int:
+    """The roots (vectors of square 2) of one unscaled copy of the atom:
+    n(n + 1) for A_n, 2n(n - 1) for D_n, 72, 126, 240 for E6, E7, E8, and
+    0 counted for U and <k>."""
+    if t.kind == "A":
+        return t.n * (t.n + 1)
+    if t.kind == "D":
+        return 2 * t.n * (t.n - 1)
+    return {6: 72, 7: 126, 8: 240}[t.n] if t.kind == "E" else 0
+
+
 class _TooMany(Exception):
     """A count passed the caller's limit."""
 
@@ -630,14 +681,22 @@ def count_short_vectors(expr: LatticeExpr, norm: int,
     whose search reaches every such vector. The theta series of an
     orthogonal sum is the product of its summands' series, so each distinct
     atom is searched once, and no search or product goes past the limit
-    (a summand has no more short vectors than the whole sum).
+    (a summand has no more short vectors than the whole sum). Before an
+    atom is searched, the roots of the copies so far that lie within the
+    norm (a scaled atom's have square 2 * scale) give a lower bound read
+    off the expression (``_root_count``): past the limit, no search runs.
     """
     if norm <= 0:
         raise LatticeError("norm must be positive")
     series = {0: 1}
     atoms: dict[LatticeExpr, dict[int, int]] = {}
+    roots = 0
     try:
         for t in expr.terms:
+            if 2 * t.scale <= norm:
+                roots += t.mult * _root_count(t)
+                if roots > limit:
+                    return None
             atom = LatticeExpr((Term(1, t.kind, t.n, t.scale),))
             if atom not in atoms:
                 atoms[atom] = _norm_counts(gram(atom), norm, limit)

@@ -19,6 +19,7 @@ from .lattices import (
     GramMatrix,
     LatticeExpr,
     LatticeError,
+    Term,
     Vector,
     gram,
     is_six_root,
@@ -50,11 +51,7 @@ def _plus_gram(vertex: "VertexData") -> GramMatrix:
     # M_+ contains M_+^0 + <h> with h of square 3 and odd index over it, so
     # pairing parities over these generators determine parities over all of
     # M_+; the final coordinate of a vector is its h-coefficient.
-    g0 = gram(vertex.m_plus0)
-    n = g0.rank
-    rows = [list(r) + [0] for r in g0.entries]
-    rows.append([0] * n + [3])
-    return GramMatrix(tuple(tuple(r) for r in rows), g0.blocks)
+    return gram(LatticeExpr(vertex.m_plus0.terms + (Term(1, "diag", 3),)))
 
 
 def classify_move(v: Vector, side: str, vertex: "VertexData") -> MoveKind:
@@ -115,22 +112,22 @@ def find_a2_pair(expr: LatticeExpr) -> Optional[A2Certificate]:
     """
     g = gram(expr)
     rank = g.rank
-    # adjacent simple roots inside one unscaled A/D/E summand of rank >= 2
-    for b in g.blocks:
+    # adjacent simple roots inside one unscaled A/D/E summand of rank >= 2;
+    # the component of each atom copy is its block m
+    for b, m in zip(g.blocks, g.component_blocks):
         if b.scale == 1 and b.size >= 2 and b.label[0] in "ADE":
-            for i in range(b.start, b.start + b.size):
-                for j in range(i + 1, b.start + b.size):
-                    if abs(g.entries[i][j]) != 1:
+            for i in range(b.size):
+                for j in range(i + 1, b.size):
+                    if abs(m[i][j]) != 1:
                         continue
-                    v1 = _unit(rank, i)
-                    v2 = _unit(rank, j, -g.entries[i][j])
+                    v1 = _unit(rank, b.start + i)
+                    v2 = _unit(rank, b.start + j, -m[i][j])
                     cert = A2Certificate(v1, v2, f"root summand {b.label}")
                     if cert.verify(g):
                         return cert
     # <2> + U: v1 = e - u1, v2 = u1 + u2
-    e_block = next((b for b in g.blocks
-                    if b.scale == 1 and b.size == 1
-                    and g.entries[b.start][b.start] == 2), None)
+    e_block = next((b for b, m in zip(g.blocks, g.component_blocks)
+                    if b.scale == 1 and b.size == 1 and m == ((2,),)), None)
     u = _unscaled_u(g)
     if e_block and u:
         u1, u2 = u
@@ -172,8 +169,12 @@ def refute_a2_mod2(expr: LatticeExpr) -> Optional[Mod2Refutation]:
     """
     g = gram(expr)
     n = g.rank
-    # 0/1 vectors as bitmasks; odd[i] is row i of the Gram matrix mod 2
-    odd = [sum(1 << j for j, e in enumerate(r) if e % 2) for r in g.entries]
+    # 0/1 vectors as bitmasks; odd[i] is row i of the Gram matrix mod 2,
+    # read off the block of i's component
+    odd = [0] * n
+    for c, rows in zip(g.components, g.component_blocks):
+        for i, r in zip(c, rows):
+            odd[i] = sum(1 << j for j, e in zip(c, r) if e % 2)
 
     def b(x: int, y: int) -> int:
         return sum((odd[i] & y).bit_count()

@@ -384,3 +384,23 @@ def test_format_default_ignores_environment(capsys, monkeypatch):
     code, out, _ = run(capsys, "atlas", "build", "--graph", "k4")
     assert code == 0
     assert len(json.loads(out)["vertices"]) == 75
+
+
+def test_lattice_roots_refuses_from_the_root_counts(capsys, monkeypatch):
+    # A256 has 256 * 257 roots, past 2000000 / 256: refused from that count,
+    # before any elimination or search
+    def fail(*args):
+        raise AssertionError("an elimination ran")
+    monkeypatch.setattr(realcubic.lattices, "_eliminate", fail)
+    code, out, err = run(capsys, "lattice", "roots", "A256", "--norm", "2")
+    assert code == 3 and out == ""
+    assert err == ("unsupported: more than 7812 vectors of norm 1 to 2 in "
+                   "rank 256 (at most 2000000 coordinates)\n")
+
+
+@pytest.mark.parametrize("text", ["A2({})", "{}*A1", "<{}>", "E8+D{}"])
+def test_overlong_integers_are_parse_errors(capsys, text):
+    # past Python's limit on the digits of an integer string
+    code, out, err = run(capsys, "lattice", "info", text.format("9" * 4400))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: integer has too many digits")

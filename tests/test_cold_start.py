@@ -81,6 +81,18 @@ def test_command_loads_only_what_it_calls(argv, modules):
     assert loaded_after(body) == modules
 
 
+def test_lattice_info_loads_no_fractions():
+    # q values are integer pairs: fractions would pull in decimal and
+    # numbers, a few ms of every cold lattice command
+    proc = python("-c", "import contextlib, io, sys\n"
+                  "from realcubic.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    assert main(['lattice', 'info', 'A2']) == 0\n"
+                  "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_first_name_binds_every_export():
     body = ("import realcubic\n"
             "realcubic.gram\n"

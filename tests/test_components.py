@@ -7,7 +7,9 @@ of grammar atoms (with multiplicities and scales, U(k) and <k> included)
 and dense nondegenerate blocks, and conjugates each sum by a permutation so
 that the components interleave, as in ``test_elimination``. Every example
 is compared with whole-matrix oracles: the Fraction signature, the Bareiss
-determinant, and the Smith normal form's group and form.
+determinant, and the Smith normal form's group and form. A second property
+checks that the components ``gram`` lays out, one per atom copy, are the
+ones a scan of the same rows finds.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -113,3 +115,51 @@ def test_component_invariants_match_the_whole_matrix():
     assert len(seen["two-ranks"]) >= 5
     assert seen["verdicts"] == {True, False}
     assert seen["components"] >= 4
+
+
+@st.composite
+def expression_texts(draw) -> str:
+    """A sum of 1 to 6 grammar terms "m*X(s)" of rank <= MAX_RANK."""
+    terms: list[str] = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from("ADEU<"))
+        atom = {
+            "A": lambda: f"A{draw(st.integers(1, 6))}",
+            "D": lambda: f"D{draw(st.integers(4, 6))}",
+            "E": lambda: f"E{draw(st.integers(6, 8))}",
+            "U": lambda: "U",
+            "<": lambda: f"<{draw(st.integers(-12, 12).filter(bool))}>",
+        }[kind]()
+        mult, scale = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        term = f"{mult}*{atom}" + (f"({scale})" if scale > 1 else "")
+        if parse_lattice_expr("+".join(terms + [term])).rank > MAX_RANK:
+            break
+        terms.append(term)
+    return "+".join(terms)
+
+
+def test_atom_split_matches_the_scan():
+    # gram lays out one component per atom copy; gram_from_rows finds the
+    # components by a scan of the nonzero pattern of the same rows
+    seen = {"components": 0, "scaled": False}
+
+    @settings(max_examples=200, derandomize=True, database=None,
+              deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(expression_texts())
+    def check(text):
+        g = gram(parse_lattice_expr(text))
+        scanned = gram_from_rows(g.rows())
+        assert g.components == scanned.components
+        assert g.component_blocks == scanned.component_blocks
+        assert g.entries == scanned.entries
+        assert len(g.blocks) == len(g.components)
+        assert [tuple(range(b.start, b.start + b.size)) for b in g.blocks] \
+            == list(g.components)
+        assert signature(g) == signature(scanned) == oracle_signature(g)
+        assert g.det() == scanned.det() == det(g.rows())
+        assert two_part(g) == two_part(scanned)
+        seen["components"] = max(seen["components"], len(g.components))
+        seen["scaled"] |= any(b.scale > 1 for b in g.blocks)
+
+    check()
+    assert seen["components"] >= 8 and seen["scaled"]

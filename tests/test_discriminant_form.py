@@ -99,7 +99,9 @@ def assert_matches_oracle(g, label):
     b_vals = tuple(tuple(_mod(Fraction(x, di * dj), 1)
                          for x, dj in zip(row, orders))
                    for row, di in zip(df.w, orders))
-    got = (orders, gens, df.q_values, b_vals, df.two_part_integer)
+    assert all(d > 0 and math.gcd(n, d) == 1 for n, d in df.q_values), label
+    q_vals = tuple(Fraction(*q) for q in df.q_values)
+    got = (orders, gens, q_vals, b_vals, df.two_part_integer)
     assert got == oracle_form(g), label
     assert df.group.two_rank == sum(1 for d in got[0] if d % 2 == 0), label
 

@@ -41,6 +41,7 @@ from realcubic.lattices import (
     signature,
 )
 from realcubic.surgery import h1_from_linking, slide
+from realcubic.walls import cusp_stratum
 
 
 def oracle_smith_normal_form(m: Matrix) -> tuple[list[int], Matrix, Matrix]:
@@ -249,8 +250,9 @@ def fresh_k4():
 
 
 def clear_block_memos():
-    """Empty the per-component memos of lattices and atlas."""
-    for memo in (realcubic.lattices._block_inertia,
+    """Empty the per-atom and per-component memos of lattices and atlas."""
+    for memo in (realcubic.lattices._atom_block,
+                 realcubic.lattices._block_inertia,
                  realcubic.lattices._block_two_part,
                  realcubic.atlas._block_corank_f2):
         memo.cache_clear()
@@ -391,3 +393,29 @@ def test_gram_and_elimination_work_on_the_atlas_paths(monkeypatch):
             assert g.det() == 0
             with pytest.raises(DegenerateLatticeError):
                 signature(g)
+
+
+def test_a_cold_build_never_scans_for_components(monkeypatch):
+    # every table lattice is an expression, and gram lays out its
+    # components atom by atom; only a matrix given as rows is scanned.
+    # Nor do the build, its check and the cusp verdicts read a dense
+    # Gram matrix.
+    scans = []
+    components = realcubic.lattices._components
+
+    def counting_components(g):
+        scans.append(len(g))
+        return components(g)
+
+    monkeypatch.setattr(realcubic.lattices, "_components",
+                        counting_components)
+    gram.cache_clear()
+    clear_block_memos()
+    atlas = fresh_k4()
+    validate_atlas(atlas)
+    for e in atlas.edges:
+        cusp_stratum((atlas.vertex(e.source), atlas.vertex(e.target)))
+    assert scans == []
+    assert not any("entries" in vars(g) for g in eigenlattice_grams(atlas))
+    gram_from_rows([[2, 1], [1, 2]])
+    assert scans == [2]
