@@ -25,6 +25,20 @@ EXIT_UNSUPPORTED = 3
 # (2 vCPU, Python 3.11)
 MAX_RANK = 256
 
+# largest determinant the lattice commands accept, as a bound on its bit
+# length summed over the atoms, checked before the Gram matrix is built:
+# the elimination slows with the size of its entries, and past about
+# 14 000 bits the determinant has too many digits to print. At the cap
+# "A120(131071)" (2047 bits) takes about 0.4 s as a fresh process, against
+# 2 s for `info` and 4 s for `roots` on "A120(10^30)" (12 007 bits); past
+# rank 150 the rank alone can take a query over 0.5 s (2 vCPU,
+# Python 3.11)
+MAX_DET_BITS = 2048
+
+# |det| of each unscaled atom, from its n: A_n, D_n, E_n, U, <k>
+_ATOM_DET = {"A": lambda n: n + 1, "D": lambda n: 4, "E": lambda n: 9 - n,
+             "U": lambda n: 1, "diag": abs}
+
 # most coordinates `lattice roots` may reach, counted before the search as
 # rank times the vectors of norm 1 to --norm (the search reaches all of
 # them); "32*E8" --norm 2 has 7680 * 256 = 1966080 and takes about 3 s
@@ -69,6 +83,14 @@ def _lattice_query(args) -> int:
     if expr.rank > MAX_RANK:
         print(f"unsupported: rank {expr.rank} exceeds {MAX_RANK}",
               file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    # |det| of an atom scaled by s is s^rank times its unscaled |det|
+    det_bits = sum(t.mult * (t.atom_rank * t.scale.bit_length()
+                             + _ATOM_DET[t.kind](t.n).bit_length())
+                   for t in expr.terms)
+    if det_bits > MAX_DET_BITS:
+        print(f"unsupported: determinant of up to {det_bits} bits exceeds "
+              f"{MAX_DET_BITS} bits", file=sys.stderr)
         return EXIT_UNSUPPORTED
     g = lattices.gram(expr)
     if args.lattice_cmd == "info":

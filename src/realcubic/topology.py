@@ -5,12 +5,12 @@ disjoint 4-spheres — the closure of everything the classification
 constructs, the real loci of cubic fourfolds being 4-manifolds. Morse
 events transform descriptors only in the supported cases; the propagation
 routine walks the K4-graph and assigns every class its real locus together
-with a justification chain; ``verify`` runs it after the atlas checks and the
-R-wall cusp sweep. ``facet_index_options`` is the one home of the facet
-indices, ``r_edge_verdicts`` the one sweep of the R-walls, and
-``r_wall_problem`` the one rule for their verdicts, which both the sweep and
-``propagate`` apply. The two terminal classes take the ramified arguments of
-``ramified``, worded from the K3-graph annotations.
+with a justification chain. ``facet_index_options`` is the one home of the
+facet indices and ``r_wall_problems`` the one sweep of the R-walls, where
+their verdicts are judged; ``propagate`` runs the sweep, then the walk, and
+``verify`` reports the two as separate checks. The two terminal classes take
+the ramified arguments of ``ramified``, worded from the K3-graph
+annotations.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .atlas import (
     validate_atlas,
 )
 from .ramified import add_unknotted_handle, lift_morse_index
-from .walls import CuspVerdict, Mod2Refutation, MoveKind, cusp_stratum
+from .walls import Mod2Refutation, MoveKind, cusp_stratum
 
 
 class UnsupportedMorseError(ValueError):
@@ -166,23 +166,26 @@ def _wall_step(e: Edge, options: set[int], index: int) -> str:
             f"{' or '.join(map(str, listed))}; {chosen}{effect}")
 
 
-def propagate(atlas: Atlas, cusp_results: dict | None = None
-              ) -> dict[VertexId, Assignment]:
+def propagate(atlas: Atlas) -> dict[VertexId, Assignment]:
     """Assign a real-locus descriptor to every vertex of the K4 atlas.
 
-    Every class but the base and the two terminal classes is derived from
-    the one wall into it, its R-wall if it has one and else its L-wall, by
-    the lowest Morse index that wall's facet admits. ``cusp_results`` maps
-    (source id, target id) of R-edges to CuspVerdict; every R-wall's verdict
-    must keep ``r_wall_problem``'s rule, and a missing one breaks it. When
-    it is None, the verdicts of ``r_edge_verdicts`` are used.
+    Raises ValueError with the problems of ``r_wall_problems`` when an
+    R-wall breaks its rule, and otherwise returns the walk: every class but
+    the base and the two terminal classes is derived from the one wall into
+    it, its R-wall if it has one and else its L-wall, by the lowest Morse
+    index that wall's facet admits.
     """
-    if cusp_results is None:
-        cusp_results = r_edge_verdicts(atlas)[0]
-    bad = [r_wall_problem(e, cusp_results.get((e.source, e.target)))
-           for e in atlas.edges if e.move == MoveKind.R]
-    if any(bad):
-        raise ValueError("; ".join(filter(None, bad)))
+    if bad := r_wall_problems(atlas):
+        raise ValueError("; ".join(bad))
+    return _walk(atlas)
+
+
+def _walk(atlas: Atlas) -> dict[VertexId, Assignment]:
+    """The descriptors of ``propagate``, without judging the R-walls.
+
+    Raises ValueError when a class stays unassigned or its descriptor's
+    (r, d) differs from its lattice values.
+    """
     into: dict[VertexId, Edge] = {}
     for e in atlas.edges:
         if e.target not in TERMINAL and (e.move == MoveKind.R
@@ -241,61 +244,51 @@ def propagate(atlas: Atlas, cusp_results: dict | None = None
     return out
 
 
-def r_edge_verdicts(atlas: Atlas) -> tuple[
-        dict[tuple[VertexId, VertexId], CuspVerdict], list[str]]:
-    """The one R-wall sweep: (verdicts, problems).
+def r_wall_problems(atlas: Atlas) -> list[str]:
+    """The one R-wall sweep: how each R-edge of ``atlas`` breaks its rule.
 
-    ``verdicts`` holds the cusp verdict of every R-edge, keyed by (source
-    id, target id). ``problems`` names each R-edge that leaves the atlas or
-    joins classes that are not one move apart, which get no verdict, and
-    each verdict that breaks ``r_wall_problem``'s rule.
+    A wall into a terminal class carries no cusp: it needs "No" with a mod-2
+    refutation. Every other R-wall carries one and needs "Yes". An R-edge
+    that leaves the atlas or joins classes that are not one move apart gets
+    no verdict and is named for that.
     """
-    verdicts, problems = {}, []
+    problems = []
     for e in atlas.edges:
         if e.move != MoveKind.R:
             continue
+        wall = f"R-edge {e.source}-{e.target}"
         ends = [atlas.vertices.get(x) for x in (e.source, e.target)]
         if None in ends:
-            problems.append(f"R-edge {e.source}-{e.target} leaves the atlas")
+            problems.append(f"{wall} leaves the atlas")
             continue
         try:
-            v = verdicts[(e.source, e.target)] = cusp_stratum(ends)
+            v = cusp_stratum(ends)
         except ValueError as exc:  # the endpoints are not one move apart
-            problems.append(f"R-edge {e.source}-{e.target}: {exc}")
+            problems.append(f"{wall}: {exc}")
             continue
-        if problem := r_wall_problem(e, v):
-            problems.append(problem)
-    return verdicts, problems
-
-
-def r_wall_problem(e: Edge, v: CuspVerdict | None) -> str | None:
-    """How the verdict ``v`` on R-edge ``e`` breaks the R-wall rule, or None.
-
-    A wall into a terminal class carries no cusp: it needs "No" with a mod-2
-    refutation. Every other R-wall carries one and needs "Yes".
-    """
-    want = "No" if e.target in TERMINAL else "Yes"
-    got = v.kind if v else "no verdict"
-    if got == "No" and not isinstance(v.refutation, Mod2Refutation):
-        got = "No without a refutation"
-    if got != want:
-        return (f"R-edge {e.source}-{e.target} needs a cusp verdict {want}, "
-                f"got {got}")
-    return None
+        want = "No" if e.target in TERMINAL else "Yes"
+        got = v.kind
+        if got == "No" and not isinstance(v.refutation, Mod2Refutation):
+            got = "No without a refutation"
+        if got != want:
+            problems.append(f"{wall} needs a cusp verdict {want}, got {got}")
+    return problems
 
 
 def verify(atlas: Atlas) -> list[CheckResult]:
-    """The atlas checks, then the R-wall sweep and the propagation.
+    """The atlas checks, then the R-wall sweep, then the walk.
 
-    ``cusp-verdicts`` reports the problems of ``r_edge_verdicts``, whose
-    verdicts ``propagate`` then reuses, so each R-wall is decided once.
+    ``cusp-verdicts`` reports the problems of ``r_wall_problems`` and
+    ``propagation`` the faults of ``_walk``, so each R-wall is judged once
+    and a broken one is named by ``cusp-verdicts``, never by
+    ``propagation``.
     """
     out = validate_atlas(atlas)
-    verdicts, bad = r_edge_verdicts(atlas)
+    bad = r_wall_problems(atlas)
     out.append(CheckResult("cusp-verdicts", "fail" if bad else "pass",
                            "; ".join(bad) or "all R-walls as asserted"))
     try:
-        propagate(atlas, verdicts)
+        _walk(atlas)
         out.append(CheckResult("propagation", "pass",
                                "75 descriptors, invariants consistent"))
     except ValueError as exc:

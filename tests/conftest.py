@@ -3,8 +3,8 @@ import random
 import pytest
 
 from realcubic.atlas import build_atlas
-from realcubic.topology import propagate, r_edge_verdicts
-from realcubic.walls import cusp_stratum
+from realcubic.topology import propagate
+from realcubic.walls import MoveKind, cusp_stratum
 
 
 @pytest.fixture(scope="session")
@@ -18,12 +18,6 @@ def k3():
 
 
 @pytest.fixture(scope="session")
-def cusp_verdicts(k4):
-    """Verdicts for every R-edge, keyed by (source id, target id)."""
-    return r_edge_verdicts(k4)[0]
-
-
-@pytest.fixture(scope="session")
 def edge_verdicts(k4):
     """Verdicts for all 117 edges, L and R, keyed by edge."""
     return {e: cusp_stratum((k4.vertex(e.source), k4.vertex(e.target)))
@@ -31,8 +25,15 @@ def edge_verdicts(k4):
 
 
 @pytest.fixture(scope="session")
-def propagation(k4, cusp_verdicts):
-    return propagate(k4, cusp_verdicts)
+def cusp_verdicts(edge_verdicts):
+    """Verdicts for every R-edge, keyed by (source id, target id)."""
+    return {(e.source, e.target): v for e, v in edge_verdicts.items()
+            if e.move == MoveKind.R}
+
+
+@pytest.fixture(scope="session")
+def propagation(k4):
+    return propagate(k4)
 
 
 @pytest.fixture()

@@ -92,6 +92,31 @@ def test_lattice_rank_cap(capsys, argv):
     assert err.startswith("unsupported: rank ") and "exceeds 256" in err
 
 
+@pytest.mark.parametrize("cmd", ["info", "roots"])
+@pytest.mark.parametrize("expr, bits", [
+    (f"A120({10 ** 50})", 120 * 167 + 7),
+    (f"E8({10 ** 4000})", 8 * 13288 + 1),
+    (f"A120({10 ** 200})", 120 * 665 + 7),
+    ("A120(131072)", 120 * 18 + 7),
+], ids=["A120(10^50)", "E8(10^4000)", "A120(10^200)", "A120(2^17)"])
+def test_lattice_determinant_cap(capsys, monkeypatch, cmd, expr, bits):
+    # bounded from the atoms, before any Gram matrix is built
+    def fail(expr):
+        raise AssertionError("the Gram matrix was built")
+    monkeypatch.setattr(realcubic.lattices, "gram", fail)
+    code, out, err = run(capsys, "lattice", cmd, expr)
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err == (f"unsupported: determinant of up to {bits} bits exceeds "
+                   f"{realcubic.cli.MAX_DET_BITS} bits\n")
+
+
+def test_lattice_determinant_cap_boundary(capsys):
+    # 120 * 17 + 7 = 2047 bits, one under the cap
+    code, out, _ = run(capsys, "lattice", "info", "A120(131071)")
+    assert code == 0
+    assert f"determinant: {121 * 131071 ** 120}\n" in out
+
+
 def test_atlas_build_json(capsys):
     code, out, _ = run(capsys, "atlas", "build", "--graph", "k4",
                        "--format", "json")

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -15,7 +16,7 @@ from realcubic.topology import (
     descriptor_invariants,
     facet_index_options,
     propagate,
-    r_edge_verdicts,
+    r_wall_problems,
     verify,
 )
 from realcubic.walls import CuspVerdict, MoveKind
@@ -148,15 +149,32 @@ def test_justification_chains(propagation):
     assert "C10,0-C10,1" in j101[-1] and "index 1" in j101[-1]
 
 
-def test_propagation_requires_yes_verdicts(k4, cusp_verdicts):
-    broken = dict(cusp_verdicts)
-    key = (VertexId(0, 0), VertexId(0, 1))
-    broken[key] = CuspVerdict("Unknown", detail="forced for test")
-    with pytest.raises(ValueError):
-        propagate(k4, broken)
-    del broken[key]  # a missing verdict is refused the same way
-    with pytest.raises(ValueError, match="C0,0-C0,1 .* got no verdict"):
-        propagate(k4, broken)
+def _force(monkeypatch, wall, forced):
+    """Make the sweep's ``cusp_stratum`` give ``forced`` on ``wall``."""
+    real = topology.cusp_stratum
+    monkeypatch.setattr(
+        topology, "cusp_stratum",
+        lambda ends: forced if (ends[0].id, ends[1].id) == wall
+        else real(ends))
+
+
+def _named_by_the_sweep_alone(a, wall):
+    """``verify(a)`` names ``wall`` under cusp-verdicts only."""
+    checks = {c.name: c for c in verify(a)}
+    name = f"{wall[0]}-{wall[1]}"
+    assert checks["cusp-verdicts"].status == "fail"
+    assert name in checks["cusp-verdicts"].detail
+    assert checks["propagation"].status == "pass"
+    assert name not in checks["propagation"].detail
+
+
+def test_propagation_requires_yes_verdicts(k4, monkeypatch):
+    wall = (VertexId(0, 0), VertexId(0, 1))
+    _force(monkeypatch, wall, CuspVerdict("Unknown", detail="forced for test"))
+    with pytest.raises(ValueError, match="^R-edge C0,0-C0,1 needs a cusp "
+                       "verdict Yes, got Unknown$"):
+        propagate(k4)
+    _named_by_the_sweep_alone(k4, wall)
 
 
 _TERMINAL_WALLS = [(VertexId(10, 0), VertexId(10, 1)),
@@ -164,25 +182,19 @@ _TERMINAL_WALLS = [(VertexId(10, 0), VertexId(10, 1)),
 
 
 @pytest.mark.parametrize("wall", _TERMINAL_WALLS, ids=lambda w: str(w[1]))
-@pytest.mark.parametrize("forced", [
-    CuspVerdict("Yes", detail="forced for test"),
-    CuspVerdict("No", detail="forced for test: no refutation"),
+@pytest.mark.parametrize("forced, got", [
+    (CuspVerdict("Yes", detail="forced for test"), "Yes"),
+    (CuspVerdict("No", detail="forced for test: no refutation"),
+     "No without a refutation"),
 ], ids=["Yes", "No-without-refutation"])
 def test_terminal_walls_need_a_refuted_no(k4, cusp_verdicts, monkeypatch,
-                                          wall, forced):
+                                          wall, forced, got):
     assert cusp_verdicts[wall].kind == "No"
-    with pytest.raises(ValueError, match=f"{wall[0]}-{wall[1]} needs a cusp "
-                       "verdict No"):
-        propagate(k4, {**cusp_verdicts, wall: forced})
-    real = topology.cusp_stratum
-    monkeypatch.setattr(
-        topology, "cusp_stratum",
-        lambda ends: forced if (ends[0].id, ends[1].id) == wall
-        else real(ends))
-    checks = {c.name: c for c in verify(k4)}
-    assert checks["cusp-verdicts"].status == "fail"
-    assert checks["propagation"].status == "fail"
-    assert f"{wall[0]}-{wall[1]}" in checks["cusp-verdicts"].detail
+    _force(monkeypatch, wall, forced)
+    with pytest.raises(ValueError, match=f"^R-edge {wall[0]}-{wall[1]} needs "
+                       f"a cusp verdict No, got {got}$"):
+        propagate(k4)
+    _named_by_the_sweep_alone(k4, wall)
 
 
 _C03_I, _C53, _C54_I = (VertexId(0, 3, special=True), VertexId(5, 3),
@@ -196,31 +208,37 @@ def _retarget_c53(target):
         if (e.source, e.target) == (_C53, _C54_I) else e for e in a.edges))
 
 
-@pytest.mark.parametrize("mutate, detail, bad_move", [
+@pytest.mark.parametrize("mutate, detail, bad_move, unassigned", [
     (lambda a: replace(a, vertices={v: d for v, d in a.vertices.items()
                                     if v != _C03_I}),
-     "R-edge C0,2-C0,3_I leaves the atlas", None),
+     "R-edge C0,2-C0,3_I leaves the atlas", None, None),
     (_retarget_c53(VertexId(4, 4)),
      "R-edge C5,3-C4,4: vertices C5,3 and C4,4 are not adjacent by one move",
-     "C5,3->C4,4"),
+     "C5,3->C4,4", "C5,4_I"),
     (_retarget_c53(VertexId(6, 4)),
      "R-edge C5,3-C6,4: vertices C5,3 and C6,4 are not adjacent by one move",
-     "C5,3->C6,4"),
+     "C5,3->C6,4", "C5,4_I"),
 ], ids=["drop-C0,3_I", "retarget-C5,3-C5,4_I-to-C4,4",
         "retarget-C5,3-C5,4_I-to-C6,4"])
-def test_verify_reports_a_mutated_table(k4, mutate, detail, bad_move):
-    checks = {c.name: c for c in verify(mutate(k4))}
+def test_verify_reports_a_mutated_table(k4, mutate, detail, bad_move,
+                                        unassigned):
+    a = mutate(k4)
+    checks = {c.name: c for c in verify(a)}
     assert checks["cusp-verdicts"].status == "fail"
     assert checks["cusp-verdicts"].detail == detail
-    assert r_edge_verdicts(mutate(k4))[1] == [detail]
+    assert r_wall_problems(a) == [detail]
     # each misplaced edge is named once, with no separate d-step entry
     moves = checks["edge-move-kinds"]
     assert (moves.status, moves.detail) == (
         ("pass", "all edges match coordinate differences") if bad_move is None
         else ("fail", bad_move))
-    assert checks["propagation"].status == "fail"
-    with pytest.raises(ValueError):
-        propagate(mutate(k4))
+    # the walk reports only its own faults, never the broken wall
+    walk = checks["propagation"]
+    assert (walk.status, walk.detail) == (
+        ("pass", "75 descriptors, invariants consistent") if unassigned is None
+        else ("fail", f"unassigned vertices: ['{unassigned}']"))
+    with pytest.raises(ValueError, match=f"^{re.escape(detail)}$"):
+        propagate(a)
 
 
 # one step per wall kind: what crossing the wall adds to the descriptor
@@ -260,18 +278,13 @@ def test_ten_descriptor_twins(k4, propagation):
         frozenset({VertexId(1, 0), VertexId(1, 0, special=True)})}
 
 
-def test_propagate_sweeps_r_edges_itself(k4):
-    assert propagate(k4) == propagate(k4, r_edge_verdicts(k4)[0])
-
-
-def test_propagate_leaves_verdicts_unchanged(k4, cusp_verdicts):
-    before = dict(cusp_verdicts)
-    propagate(k4, cusp_verdicts)
-    assert cusp_verdicts == before
-    empty = {}
-    with pytest.raises(ValueError):
-        propagate(k4, empty)
-    assert empty == {}
+def test_propagate_sweeps_r_edges_once(k4, propagation, monkeypatch):
+    calls = []
+    real = topology.cusp_stratum
+    monkeypatch.setattr(topology, "cusp_stratum",
+                        lambda ends: calls.append(ends) or real(ends))
+    assert propagate(k4) == propagation
+    assert len(calls) == 62  # one per R-edge
 
 
 def test_verify_reports_a_broken_wall_chain(k4):
