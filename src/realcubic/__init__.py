@@ -16,18 +16,17 @@ _EXPORTS = {
     "atlas": ("Atlas", "Edge", "VertexData", "VertexId", "atlas_to_dot",
               "atlas_to_json", "build_atlas", "classify_type",
               "validate_atlas", "vertex_invariants"),
-    "intmat": ("cokernel", "det", "smith_normal_form"),
+    "intmat": ("AbelianGroup", "cokernel", "det", "smith_normal_form"),
     "lattices": ("AMBIENT_M", "AMBIENT_M0", "DegenerateLatticeError",
-                 "DiscriminantForm", "DiscriminantGroup", "GramMatrix",
-                 "IndefiniteLatticeError", "LatticeExpr", "ParseError",
-                 "discriminant_form", "discriminant_group",
-                 "enumerate_norm_vectors", "gram", "is_six_root",
-                 "parse_lattice_expr", "signature"),
+                 "DiscriminantForm", "GramMatrix", "IndefiniteLatticeError",
+                 "LatticeExpr", "ParseError", "discriminant_form",
+                 "discriminant_group", "enumerate_norm_vectors", "gram",
+                 "is_six_root", "parse_lattice_expr", "signature"),
     "ramified": ("PerturbationData", "add_unknotted_handle",
                  "euler_perturbation", "handle_counts", "lift_morse_index"),
-    "surgery": ("AbelianGroup", "GroupPresentation", "abelianization",
-                "blow_down", "blow_up", "h1_from_linking", "lifted_framing",
-                "slide", "spiral_scenario"),
+    "surgery": ("GroupPresentation", "abelianization", "blow_down", "blow_up",
+                "h1_from_linking", "lifted_framing", "slide",
+                "spiral_scenario"),
     "topology": ("MorseEvent", "RealLocusDescriptor", "apply_morse",
                  "descriptor_invariants", "facet_index_options", "propagate",
                  "verify"),

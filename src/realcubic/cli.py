@@ -21,8 +21,10 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 
 # largest rank the lattice commands accept, checked before the rank^2 Gram
-# matrix is built; `lattice info "32*E8"` (rank 256) takes about 0.2 s
-# (2 vCPU, Python 3.11)
+# matrix is built. One atom of that rank is the worst case, a single dense
+# elimination: as fresh processes `lattice info A256` and `lattice roots
+# A256 --norm 1` each take about 0.6 s, against 0.1 s for the block-diagonal
+# `lattice info "32*E8"` (2 vCPU, Python 3.11)
 MAX_RANK = 256
 
 # largest determinant the lattice commands accept, as a bound on its bit
@@ -108,12 +110,14 @@ def _lattice_query(args) -> int:
         return EXIT_OK
     limit = MAX_ROOT_COORDS // expr.rank
     try:
-        if lattices.count_short_vectors(expr, args.norm, limit) is None:
+        count = lattices.count_short_vectors(expr, args.norm, limit)
+        if count is None:
             print(f"unsupported: more than {limit} vectors of norm 1 to "
                   f"{args.norm} in rank {expr.rank} (at most "
                   f"{MAX_ROOT_COORDS} coordinates)", file=sys.stderr)
             return EXIT_UNSUPPORTED
-        roots = lattices.enumerate_norm_vectors(g, args.norm)
+        # no vector of square 1 to --norm: the search would find none
+        roots = lattices.enumerate_norm_vectors(g, args.norm) if count else []
     except lattices.IndefiniteLatticeError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

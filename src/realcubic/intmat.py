@@ -1,10 +1,16 @@
-"""Exact integer matrix algebra: Smith normal form and determinants.
+"""Exact integer matrix algebra: Smith normal form, determinants, and the
+abelian groups read off a Smith form.
 
 Everything here works on plain Python ints (no overflow) and is shared by the
-lattice invariants and the framed-link surgery homology.
+lattice invariants and the framed-link surgery homology: ``cokernel`` gives
+both a lattice's discriminant group and a surgered 3-manifold's H1 as one
+``AbelianGroup``.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 
 Matrix = list[list[int]]
@@ -154,14 +160,37 @@ def smith_normal_form(m: Matrix, *, u: bool = True, v: bool = True
     return factors, left, right
 
 
-def cokernel(m: Matrix) -> tuple[list[int], int]:
-    """Invariant factors (> 1) and free rank of Z^rows / im(m).
+@dataclass(frozen=True)
+class AbelianGroup:
+    """Z/d_1 + ... + Z/d_k + Z^free_rank, the d_i > 1 in a divisibility
+    chain: the one abelian group type of the library."""
+
+    invariant_factors: tuple[int, ...]
+    free_rank: int = 0
+
+    @property
+    def order(self) -> int | None:
+        """The number of elements, or None when the group is infinite."""
+        return None if self.free_rank else math.prod(self.invariant_factors)
+
+    @property
+    def two_rank(self) -> int:
+        """dim over F2 of the 2-torsion: the number of even factors."""
+        return sum(1 for d in self.invariant_factors if d % 2 == 0)
+
+    def __str__(self) -> str:
+        parts = ([f"Z/{d}" for d in self.invariant_factors]
+                 + ["Z"] * self.free_rank)
+        return " + ".join(parts) or "trivial"
+
+
+def cokernel(m: Matrix) -> AbelianGroup:
+    """Z^rows / im(m), from the Smith factors: those > 1 are the invariant
+    factors, and the rows beyond the rank the free part.
 
     The factors alone decide the group, so the Smith form builds neither
     transform.
     """
-    nr = len(m)
     factors, _, _ = smith_normal_form(m, u=False, v=False)
-    torsion = [f for f in factors if f > 1]
-    rank = sum(1 for f in factors if f != 0)
-    return torsion, nr - rank
+    rank = sum(1 for d in factors if d != 0)
+    return AbelianGroup(tuple(d for d in factors if d > 1), len(m) - rank)

@@ -2,9 +2,10 @@
 
 Covers the lattice-expression language of the classification tables
 (A_n, D_n, E6/E7/E8, U, rank-1 <k>, integer rescaling), Gram matrices (one
-per expression), signatures and determinants, discriminant groups and
-finite quadratic forms, short-vector enumeration in definite lattices with
-exact integer bounds, and 6-roots. A Gram matrix is held as its orthogonal
+per expression), signatures and determinants, discriminant groups (the
+cokernel of G, an ``intmat.AbelianGroup``) and finite quadratic forms,
+short-vector enumeration in definite lattices with exact integer bounds,
+and 6-roots. A Gram matrix is held as its orthogonal
 components: the atom copies of an expression, or the connected blocks of a
 matrix given as rows. One fraction-free (Bareiss) elimination of each
 distinct component gives both its inertia and its determinant, and one
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .intmat import matmul, smith_normal_form
+from .intmat import AbelianGroup, cokernel, matmul, smith_normal_form
 
 Vector = tuple[int, ...]
 
@@ -446,43 +447,13 @@ def signature(g: GramMatrix) -> tuple[int, int]:
 # discriminant groups and forms
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
-    invariant_factors: tuple[int, ...]  # each > 1, divisibility chain
-    two_rank: int
-
-    @property
-    def order(self) -> int:
-        out = 1
-        for f in self.invariant_factors:
-            out *= f
-        return out
-
-    def __str__(self) -> str:
-        if not self.invariant_factors:
-            return "trivial"
-        return " + ".join(f"Z/{f}" for f in self.invariant_factors)
-
-
-def _smith(g: GramMatrix, *, v: bool
-           ) -> tuple[list[int], list[list[int]] | None]:
-    """Smith factors of a nondegenerate Gram matrix, with its right
-    transform V if ``v`` (else None); U is never built."""
-    factors, _, right = smith_normal_form(g.rows(), u=False, v=v)
-    if 0 in factors:
+def discriminant_group(g: GramMatrix) -> AbelianGroup:
+    """G^*/G, the cokernel of G; raises DegenerateLatticeError when it has
+    a free part (a zero Smith factor)."""
+    group = cokernel(g.rows())
+    if group.free_rank:
         raise DegenerateLatticeError("degenerate Gram matrix")
-    return factors, right
-
-
-def _group(factors: list[int]) -> DiscriminantGroup:
-    inv = tuple(f for f in factors if f > 1)
-    return DiscriminantGroup(inv, sum(1 for f in inv if f % 2 == 0))
-
-
-def discriminant_group(g: GramMatrix) -> DiscriminantGroup:
-    """The sum of Z/d over G's Smith factors d > 1; the Smith form builds
-    neither transform."""
-    return _group(_smith(g, v=False)[0])
+    return group
 
 
 @dataclass(frozen=True)
@@ -496,7 +467,7 @@ class DiscriminantForm:
         q(g_i) = W_ii / d_i^2 mod 2,    b(g_i, g_j) = W_ij / (d_i d_j) mod 1.
     """
 
-    group: DiscriminantGroup
+    group: AbelianGroup
     generators: tuple[Vector, ...]
     w: tuple[tuple[int, ...], ...]
     two_part_integer: bool
@@ -528,8 +499,10 @@ def discriminant_form(g: GramMatrix) -> DiscriminantForm:
     2 b(y_i, y_j) = 2 W_ij / (t_i t_j) is an integer: t_i^2 | W_ii and
     t_i t_j | 2 W_ij (i < j).
     """
-    factors, v = _smith(g, v=True)
-    group = _group(factors)
+    factors, _, v = smith_normal_form(g.rows(), u=False, v=True)
+    if 0 in factors:
+        raise DegenerateLatticeError("degenerate Gram matrix")
+    group = AbelianGroup(tuple(d for d in factors if d > 1))
     cols = [i for i, d in enumerate(factors) if d > 1]
     vsel = [[row[i] for i in cols] for row in v]
     vt = [list(c) for c in zip(*vsel)]

@@ -183,13 +183,15 @@ def propagate(atlas: Atlas) -> dict[VertexId, Assignment]:
 def _walk(atlas: Atlas) -> dict[VertexId, Assignment]:
     """The descriptors of ``propagate``, without judging the R-walls.
 
-    Raises ValueError when a class stays unassigned or its descriptor's
-    (r, d) differs from its lattice values.
+    Only walls whose two ends are classes of the atlas are crossed, so a
+    dangling edge assigns nothing. Raises ValueError when a class stays
+    unassigned or its descriptor's (r, d) differs from its lattice values.
     """
     into: dict[VertexId, Edge] = {}
     for e in atlas.edges:
-        if e.target not in TERMINAL and (e.move == MoveKind.R
-                                         or e.target not in into):
+        if (e.source in atlas.vertices and e.target in atlas.vertices
+                and e.target not in TERMINAL
+                and (e.move == MoveKind.R or e.target not in into)):
             into[e.target] = e
 
     out = {VertexId(0, 0): Assignment(RP4, ("base class: real locus RP4",))}
@@ -210,7 +212,7 @@ def _walk(atlas: Atlas) -> dict[VertexId, Assignment]:
     # index 1 upstairs
     c10_0, c10_1 = VertexId(10, 0), VertexId(10, 1)
     prev = out.get(c10_0)
-    if prev is not None:
+    if prev is not None and c10_1 in atlas.vertices:
         lifted = lift_morse_index(0)
         out[c10_1] = Assignment(
             apply_morse(prev.descriptor, MorseEvent(lifted)),
@@ -223,9 +225,10 @@ def _walk(atlas: Atlas) -> dict[VertexId, Assignment]:
 
     # C2,1_I: ramified sum over the 2-torus K3 locus adds an unknotted
     # (2,2)-handle together with the mandatory S1xS3
+    c2_1 = VertexId(2, 1, special=True)
     prev = out.get(VertexId(1, 0))
-    if prev is not None:
-        out[VertexId(2, 1, special=True)] = Assignment(
+    if prev is not None and c2_1 in atlas.vertices:
+        out[c2_1] = Assignment(
             add_unknotted_handle(prev.descriptor, 2, 2),
             prev.justification
             + ("terminal wall C2,0-C2,1_I: the K3 locus gains a torus; the "
@@ -288,9 +291,9 @@ def verify(atlas: Atlas) -> list[CheckResult]:
     out.append(CheckResult("cusp-verdicts", "fail" if bad else "pass",
                            "; ".join(bad) or "all R-walls as asserted"))
     try:
-        _walk(atlas)
-        out.append(CheckResult("propagation", "pass",
-                               "75 descriptors, invariants consistent"))
+        out.append(CheckResult(
+            "propagation", "pass",
+            f"{len(_walk(atlas))} descriptors, invariants consistent"))
     except ValueError as exc:
         out.append(CheckResult("propagation", "fail", str(exc)))
     return out

@@ -423,6 +423,24 @@ def test_lattice_roots_refuses_from_the_root_counts(capsys, monkeypatch):
                    "rank 256 (at most 2000000 coordinates)\n")
 
 
+def test_lattice_roots_without_short_vectors_runs_one_elimination(
+        capsys, monkeypatch):
+    # A20 has no vector of square 1: the count walks the atom once, and the
+    # search, which would eliminate it again, is skipped
+    calls = []
+    eliminate = realcubic.lattices._eliminate
+
+    def counting(a):
+        calls.append(len(a))
+        return eliminate(a)
+    monkeypatch.setattr(realcubic.lattices, "_eliminate", counting)
+    code, out, err = run(capsys, "lattice", "roots", "A20", "--norm", "1")
+    assert (code, err) == (0, "")
+    assert out == ('{"expression": "A20", "norm": 1, "count": 0, '
+                   '"vectors": []}\n')
+    assert calls == [20]
+
+
 @pytest.mark.parametrize("text", ["A2({})", "{}*A1", "<{}>", "E8+D{}"])
 def test_overlong_integers_are_parse_errors(capsys, text):
     # past Python's limit on the digits of an integer string

@@ -15,6 +15,7 @@ from fractions import Fraction
 from realcubic.intmat import smith_normal_form
 from realcubic.lattices import (
     discriminant_form,
+    discriminant_group,
     gram,
     parse_lattice_expr,
 )
@@ -155,6 +156,9 @@ def test_matches_oracle_on_atlas_eigenlattices(k4):
     for v in k4.vertices.values():
         for expr in (v.m_plus0, v.m_minus):
             assert_matches_oracle(gram(expr), f"{v.id}: {expr}")
+            # the form's group is the cokernel of G, as the group alone is
+            g = gram(expr)
+            assert discriminant_form(g).group == discriminant_group(g), expr
             seen += 1
     assert seen == 150
 

@@ -1,5 +1,6 @@
-"""Every import in a realcubic module is used by that module, and every
-top-level name has a caller in ``src/``.
+"""Every import in a realcubic module is used by that module, every
+top-level name has a caller in ``src/``, and every name the benchmark's
+traced run wraps exists.
 
 Each ``src/realcubic/*.py`` except ``__init__.py`` (which re-exports) is
 parsed with ``ast``. A name counts as used when it is loaded anywhere in
@@ -7,6 +8,7 @@ the module, or appears inside a string annotation such as ``"VertexData"``.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -121,3 +123,19 @@ def test_no_assert_statements():
              for n in ast.walk(ast.parse(p.read_text()))
              if isinstance(n, ast.Assert)]
     assert not found, f"assert statements in src/: {found}"
+
+
+def test_every_traced_name_resolves():
+    # perfbench/tracing.py wraps TARGETS in their home modules; a deleted
+    # or renamed function would stop `perfbench/run.py --trace 1` with an
+    # AttributeError. The file is only read.
+    path = SRC.parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{layer}.{name}"
+               for layer, names in tracing.TARGETS.items()
+               for name in names
+               if not callable(getattr(
+                   importlib.import_module(f"realcubic.{layer}"), name, None))]
+    assert missing == []

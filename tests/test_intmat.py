@@ -171,14 +171,14 @@ def test_cokernel_order_equals_det(rng):
         n = rng.randint(1, 5)
         m = random_matrix(rng, n, n)
         d = det(m)
-        torsion, free = cokernel(m)
+        group = cokernel(m)
         if d == 0:
-            assert free > 0
+            assert group.free_rank > 0 and group.order is None
         else:
             order = 1
-            for t in torsion:
+            for t in group.invariant_factors:
                 order *= t
-            assert free == 0 and order == abs(d)
+            assert group.free_rank == 0 and order == group.order == abs(d)
 
 
 def test_identity_and_matmul():

@@ -315,6 +315,11 @@ def test_discriminant_group_examples():
     assert a2.invariant_factors == (3,) and a2.two_rank == 0
     big = discriminant_group(gram(parse_lattice_expr("U(2)+E8(2)")))
     assert big.invariant_factors == (2,) * 10 and big.two_rank == 10
+    # a degenerate G has a free cokernel, which is no discriminant group
+    g = gram_from_rows([[2, 2, 0], [2, 2, 0], [0, 0, 3]])
+    for f in (discriminant_group, discriminant_form):
+        with pytest.raises(DegenerateLatticeError):
+            f(g)
 
 
 def test_discriminant_group_order_is_det():

@@ -1,8 +1,8 @@
 import pytest
 
+from realcubic.intmat import AbelianGroup
 from realcubic.surgery import (
     SEIFERT_PI1,
-    AbelianGroup,
     GroupPresentation,
     abelianization,
     blow_down,
@@ -33,8 +33,13 @@ def test_h1_examples():
 
 def test_abelian_group_str_and_order():
     assert str(AbelianGroup((2, 4), 1)) == "Z/2 + Z/4 + Z"
+    assert str(AbelianGroup(())) == "trivial"
     assert AbelianGroup((2, 4)).order == 8
     assert AbelianGroup((), 2).order is None
+    # the two-rank counts the even factors; the free part adds none
+    assert AbelianGroup((2, 4), 1).two_rank == 2
+    assert AbelianGroup((3, 6, 12)).two_rank == 2
+    assert AbelianGroup((3,), 2).two_rank == 0
 
 
 def test_blow_up_and_slide():
