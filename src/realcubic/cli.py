@@ -21,25 +21,19 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 
 # largest rank the lattice commands accept, checked before the rank^2 Gram
-# matrix is built. One atom of that rank is the worst case, a single dense
-# elimination: as fresh processes `lattice info A256` and `lattice roots
-# A256 --norm 1` each take about 0.6 s, against 0.1 s for the block-diagonal
-# `lattice info "32*E8"` (2 vCPU, Python 3.11)
+# matrix is built. Signature and det come from the atom catalogue: as fresh
+# processes `lattice info A256` takes about 0.17 s and `lattice roots A256
+# --norm 1` 0.08 s; the slowest is `info`'s Smith form with 256 generators,
+# "256*<3>" or "128*U(2)", about 0.8 s (2 vCPU, Python 3.11)
 MAX_RANK = 256
 
 # largest determinant the lattice commands accept, as a bound on its bit
-# length summed over the atoms, checked before the Gram matrix is built:
-# the elimination slows with the size of its entries, and past about
-# 14 000 bits the determinant has too many digits to print. At the cap
-# "A120(131071)" (2047 bits) takes about 0.4 s as a fresh process, against
-# 2 s for `info` and 4 s for `roots` on "A120(10^30)" (12 007 bits); past
-# rank 150 the rank alone can take a query over 0.5 s (2 vCPU,
-# Python 3.11)
+# length summed over the atoms (from the atom catalogue), checked before
+# the Gram matrix is built: past about 14 000 bits the determinant has too
+# many digits to print, and the Smith form slows with the size of the
+# entries. At the cap "A120(131071)" (2047 bits) takes about 0.13 s as a
+# fresh process, "A204(1023)" (2048 bits) about 0.4 s (2 vCPU, Python 3.11)
 MAX_DET_BITS = 2048
-
-# |det| of each unscaled atom, from its n: A_n, D_n, E_n, U, <k>
-_ATOM_DET = {"A": lambda n: n + 1, "D": lambda n: 4, "E": lambda n: 9 - n,
-             "U": lambda n: 1, "diag": abs}
 
 # most coordinates `lattice roots` may reach, counted before the search as
 # rank times the vectors of norm 1 to --norm (the search reaches all of
@@ -88,7 +82,7 @@ def _lattice_query(args) -> int:
         return EXIT_UNSUPPORTED
     # |det| of an atom scaled by s is s^rank times its unscaled |det|
     det_bits = sum(t.mult * (t.atom_rank * t.scale.bit_length()
-                             + _ATOM_DET[t.kind](t.n).bit_length())
+                             + t.facts.det.bit_length())
                    for t in expr.terms)
     if det_bits > MAX_DET_BITS:
         print(f"unsupported: determinant of up to {det_bits} bits exceeds "

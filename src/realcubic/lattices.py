@@ -5,12 +5,12 @@ Covers the lattice-expression language of the classification tables
 per expression), signatures and determinants, discriminant groups (the
 cokernel of G, an ``intmat.AbelianGroup``) and finite quadratic forms,
 short-vector enumeration in definite lattices with exact integer bounds,
-and 6-roots. A Gram matrix is held as its orthogonal
-components: the atom copies of an expression, or the connected blocks of a
-matrix given as rows. One fraction-free (Bareiss) elimination of each
-distinct component gives both its inertia and its determinant, and one
-Smith normal form the 2-part of its discriminant form; each is memoized by
-the component's entries and added up over the sum.
+and 6-roots. Each atom's rank, det, inertia, roots and least square are
+closed forms in one catalogue (``_ATOMS``). A Gram matrix is held as its
+orthogonal components: the atom copies of an expression, whose inertia and
+det add up from the catalogue, or the connected blocks of a matrix given as
+rows, each eliminated once (fraction-free, Bareiss) for both. One memoized
+Smith form per distinct component gives its discriminant form's 2-part.
 """
 
 from __future__ import annotations
@@ -48,6 +48,26 @@ class IndefiniteLatticeError(LatticeError):
 # lattice expressions
 
 
+class AtomFacts(NamedTuple):
+    """Closed forms for one unscaled copy of an atom (Conway and Sloane,
+    SPLAG, ch. 4); at scale s, det is s^rank * det and every square s-fold."""
+
+    rank: int
+    det: int
+    neg: int    # negative index of inertia
+    roots: int  # vectors of square 2, counted on positive definite atoms
+    least: int  # least square of a nonzero vector; 0 if not positive definite
+
+
+_ATOMS = {  # the catalogue, per kind as a function of n
+    "A": lambda n: AtomFacts(n, n + 1, 0, n * (n + 1), 2),
+    "D": lambda n: AtomFacts(n, 4, 0, 2 * n * (n - 1), 2),
+    "E": lambda n: AtomFacts(n, 9 - n, 0, {6: 72, 7: 126, 8: 240}[n], 2),
+    "U": lambda n: AtomFacts(2, -1, 1, 0, 0),
+    "diag": lambda n: AtomFacts(1, n, int(n < 0), 2 * (n == 2), max(n, 0)),
+}
+
+
 @dataclass(frozen=True)
 class Term:
     """One summand: ``mult`` copies of an atom, form rescaled by ``scale``.
@@ -74,16 +94,16 @@ class Term:
             raise LatticeError(f"E_n requires n in 6,7,8, got n={self.n}")
         if self.kind == "diag" and self.n == 0:
             raise LatticeError("rank-1 form <0> is degenerate")
-        if self.kind not in ("A", "D", "E", "U", "diag"):
+        if self.kind not in _ATOMS:
             raise LatticeError(f"unknown atom kind {self.kind!r}")
 
     @property
+    def facts(self) -> AtomFacts:
+        return _ATOMS[self.kind](self.n)
+
+    @property
     def atom_rank(self) -> int:
-        if self.kind == "U":
-            return 2
-        if self.kind == "diag":
-            return 1
-        return self.n
+        return self.facts.rank
 
     def atom_label(self) -> str:
         if self.kind == "U":
@@ -230,18 +250,28 @@ class GramMatrix:
     ``component_blocks`` the principal submatrix of G on each, as tuples of
     rows; every other entry of G is 0. A block is hashable and its key is
     its content, so the per-block memos below share one result among equal
-    blocks of any lattice. ``blocks`` names the atom copies of an
-    expression, one per component (none for a matrix given as rows). The
-    rows of G, sparse or dense (``entries``), are derived on first read.
+    blocks of any lattice. An expression also names its atom copies, one
+    per component (``blocks``), and its catalogue (neg, det). The rows of
+    G, sparse or dense (``entries``), are derived on first read.
     """
 
     components: tuple[tuple[int, ...], ...]
     component_blocks: tuple[tuple[Vector, ...], ...]
     blocks: tuple[Block, ...] = ()
+    atom_inertia: tuple[int, int] | None = None
 
     @cached_property
     def rank(self) -> int:
         return sum(map(len, self.components))
+
+    @cached_property
+    def inertia(self) -> tuple[int, int]:
+        """(neg, det) of G, for ``signature`` and ``det``: the catalogue's,
+        or one elimination per component (``_block_inertia``) added up."""
+        if self.atom_inertia is not None:
+            return self.atom_inertia
+        parts = [_block_inertia(b) for b in self.component_blocks]
+        return sum(n for n, _ in parts), math.prod(d for _, d in parts)
 
     @cached_property
     def _sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -268,11 +298,7 @@ class GramMatrix:
         return [list(r) for r in self.entries]
 
     def det(self) -> int:
-        """The product of the determinants of the orthogonal components:
-        each is the last leading minor of the one elimination per distinct
-        block that ``signature`` reads too (``_block_inertia``), and 0 for
-        a degenerate block."""
-        return math.prod(_block_inertia(b)[1] for b in self.component_blocks)
+        return self.inertia[1]
 
     def apply(self, v: Vector) -> Vector:
         """G.v as the sum of x_j times column j over the nonzero x_j of v;
@@ -304,11 +330,13 @@ def _check_dim(g: GramMatrix, v: Vector) -> None:
 
 
 @lru_cache(maxsize=None)
-def _atom_block(kind: str, n: int, scale: int) -> tuple[Vector, ...]:
-    """The Gram matrix of one atom copy, rescaled; built once per
+def _atom_block(kind: str, n: int, scale: int) -> tuple:
+    """(rows, neg, det) of one atom copy, rescaled: its Gram matrix, and its
+    negative index and determinant from the catalogue; built once per
     (kind, n, scale) and shared by every expression that holds the atom."""
-    return tuple(tuple(x * scale for x in r)
-                 for r in _atom_gram(Term(1, kind, n)))
+    facts, rows = _ATOMS[kind](n), _atom_gram(Term(1, kind, n))
+    return (tuple(tuple(x * scale for x in r) for r in rows), facts.neg,
+            scale ** facts.rank * facts.det)
 
 
 @lru_cache(maxsize=None)
@@ -317,23 +345,26 @@ def gram(expr: LatticeExpr) -> GramMatrix:
 
     Each atom copy is one orthogonal component, laid out in term order: the
     graphs of A_n, D_n, E6/E7/E8, U and <k> are connected, so no component
-    needs to be searched for. Built once per expression: ``LatticeExpr`` is
-    frozen and hashable, and a ``GramMatrix`` holds only tuples, so every
-    caller can share it.
+    needs to be searched for, and the negative index and the determinant
+    are added up from the catalogue (``_atom_block``). Built once per
+    expression: ``LatticeExpr`` is frozen and hashable, and a
+    ``GramMatrix`` holds only tuples, so every caller can share it.
     """
     comps: list[tuple[int, ...]] = []
     mats: list[tuple[Vector, ...]] = []
     blocks: list[Block] = []
-    pos = 0
+    pos, neg, det = 0, 0, 1
     for term in expr.terms:
-        m = _atom_block(term.kind, term.n, term.scale)
+        m, atom_neg, atom_det = _atom_block(term.kind, term.n, term.scale)
+        neg += term.mult * atom_neg
+        det *= atom_det ** term.mult
         k, label = len(m), term.atom_label()
         for _ in range(term.mult):
             comps.append(tuple(range(pos, pos + k)))
             mats.append(m)
             blocks.append(Block(label, pos, k, term.scale))
             pos += k
-    return GramMatrix(tuple(comps), tuple(mats), tuple(blocks))
+    return GramMatrix(tuple(comps), tuple(mats), tuple(blocks), (neg, det))
 
 
 def _components(g: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -361,13 +392,10 @@ def gram_from_rows(rows: list[list[int]]) -> GramMatrix:
     """The Gram matrix with the given rows, split by a scan of its nonzero
     pattern (``_components``)."""
     g = [[int(x) for x in r] for r in rows]
-    n = len(g)
-    if any(len(r) != n for r in g):
+    if any(len(r) != len(g) for r in g):
         raise LatticeError("Gram matrix must be square")
-    for i in range(n):
-        for j in range(n):
-            if g[i][j] != g[j][i]:
-                raise LatticeError("Gram matrix must be symmetric")
+    if g != [list(c) for c in zip(*g)]:
+        raise LatticeError("Gram matrix must be symmetric")
     comps = _components(g)
     return GramMatrix(comps, tuple(tuple(tuple(g[i][j] for j in c) for i in c)
                                    for c in comps))
@@ -412,7 +440,6 @@ def _eliminate(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     return minors, a
 
 
-@lru_cache(maxsize=None)
 def _block_inertia(block: tuple[Vector, ...]) -> tuple[int, int]:
     """(neg, det) of one component from one elimination, or (0, 0) if it
     is degenerate. neg counts the sign changes along 1, D_1..D_n; D_n is
@@ -426,20 +453,10 @@ def _block_inertia(block: tuple[Vector, ...]) -> tuple[int, int]:
 
 
 def signature(g: GramMatrix) -> tuple[int, int]:
-    """Inertia (pos, neg), summed over the orthogonal components of G.
-
-    A permutation congruence makes G block diagonal, and inertia adds over
-    an orthogonal sum (Sylvester). Each distinct component block is
-    eliminated once (``_block_inertia``), and ``GramMatrix.det`` reads the
-    same elimination; a degenerate component (determinant 0) makes G
-    degenerate, and raises on every call.
-    """
-    neg = 0
-    for b in g.component_blocks:
-        n, d = _block_inertia(b)
-        if d == 0:
-            raise DegenerateLatticeError("degenerate Gram matrix")
-        neg += n
+    """Inertia (pos, neg) of G, from ``g.inertia``; raises if degenerate."""
+    neg, det = g.inertia
+    if det == 0:
+        raise DegenerateLatticeError("degenerate Gram matrix")
     return g.rank - neg, neg
 
 
@@ -593,17 +610,6 @@ def enumerate_norm_vectors(g: GramMatrix, norm: int) -> list[Vector]:
     return sorted(out)
 
 
-def _root_count(t: Term) -> int:
-    """The roots (vectors of square 2) of one unscaled copy of the atom:
-    n(n + 1) for A_n, 2n(n - 1) for D_n, 72, 126, 240 for E6, E7, E8, and
-    0 counted for U and <k>."""
-    if t.kind == "A":
-        return t.n * (t.n + 1)
-    if t.kind == "D":
-        return 2 * t.n * (t.n - 1)
-    return {6: 72, 7: 126, 8: 240}[t.n] if t.kind == "E" else 0
-
-
 class _TooMany(Exception):
     """A count passed the caller's limit."""
 
@@ -654,10 +660,10 @@ def count_short_vectors(expr: LatticeExpr, norm: int,
     whose search reaches every such vector. The theta series of an
     orthogonal sum is the product of its summands' series, so each distinct
     atom is searched once, and no search or product goes past the limit
-    (a summand has no more short vectors than the whole sum). Before an
-    atom is searched, the roots of the copies so far that lie within the
-    norm (a scaled atom's have square 2 * scale) give a lower bound read
-    off the expression (``_root_count``): past the limit, no search runs.
+    (a summand has no more short vectors than the whole sum). First the
+    catalogue's root counts (of square 2 * scale) bound the count from
+    below, and no atom is searched whose least square times its scale is
+    past the norm (U and negative <k> have none: the search refuses them).
     """
     if norm <= 0:
         raise LatticeError("norm must be positive")
@@ -667,16 +673,16 @@ def count_short_vectors(expr: LatticeExpr, norm: int,
     try:
         for t in expr.terms:
             if 2 * t.scale <= norm:
-                roots += t.mult * _root_count(t)
-                if roots > limit:
-                    return None
+                roots += t.mult * t.facts.roots
+            if roots > limit:
+                return None
+            if t.facts.least * t.scale > norm:  # no short vector
+                continue
             atom = LatticeExpr((Term(1, t.kind, t.n, t.scale),))
             if atom not in atoms:
                 atoms[atom] = _norm_counts(gram(atom), norm, limit)
-            if len(atoms[atom]) == 1:  # no short vectors: copies add none
-                continue
-            # each copy adds at least two short vectors, so this loop stops
-            # within limit / 2 copies
+            # each copy adds at least two short vectors, +-v at the least
+            # square, so this loop stops within limit / 2 copies
             for _ in range(t.mult):
                 series = _times(series, atoms[atom], norm, limit)
     except _TooMany:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import realcubic.atlas
 import realcubic.cli
 import realcubic.topology
 from realcubic.atlas import build_atlas, table_edges
@@ -367,6 +368,27 @@ def test_atlas_verify(capsys):
     assert all(c["status"] != "fail" for c in report["checks"])
 
 
+def test_atlas_verify_fails_a_negative_six_in_column_0(capsys, monkeypatch):
+    # <-6> for column 0's <6> keeps d and the type, so the table still
+    # builds; but M+0 of C0,0 to C0,9 gains a second negative square, which
+    # the signature, read off the atom catalogue, shows
+    jmax, template = realcubic.atlas._TABLE_PLUS[0]
+    monkeypatch.setitem(realcubic.atlas._TABLE_PLUS, 0,
+                        (jmax, template.replace("<6>", "<-6>")))
+    build_atlas.cache_clear()
+    try:
+        code, out, _ = run(capsys, "atlas", "verify")
+    finally:
+        monkeypatch.undo()
+        build_atlas.cache_clear()  # the next build reads the shipped table
+    assert code == 1
+    failures = json.loads(out)["failures"]
+    assert [c["name"] for c in failures] == ["per-vertex-invariants"]
+    assert failures[0]["detail"] == "; ".join(
+        f"C0,{j}: signature(M+0) = ({9 - j}, 2), expected ({10 - j}, 1)"
+        for j in range(10))
+
+
 @pytest.fixture()
 def cusp_calls(monkeypatch):
     """The arguments of every cusp_stratum call the CLI makes."""
@@ -423,10 +445,10 @@ def test_lattice_roots_refuses_from_the_root_counts(capsys, monkeypatch):
                    "rank 256 (at most 2000000 coordinates)\n")
 
 
-def test_lattice_roots_without_short_vectors_runs_one_elimination(
+def test_lattice_roots_without_short_vectors_runs_no_elimination(
         capsys, monkeypatch):
-    # A20 has no vector of square 1: the count walks the atom once, and the
-    # search, which would eliminate it again, is skipped
+    # A20's least square is 2, past --norm 1: the count reads that off the
+    # atom catalogue without a walk, and the search is skipped
     calls = []
     eliminate = realcubic.lattices._eliminate
 
@@ -438,7 +460,7 @@ def test_lattice_roots_without_short_vectors_runs_one_elimination(
     assert (code, err) == (0, "")
     assert out == ('{"expression": "A20", "norm": 1, "count": 0, '
                    '"vectors": []}\n')
-    assert calls == [20]
+    assert calls == []
 
 
 @pytest.mark.parametrize("text", ["A2({})", "{}*A1", "<{}>", "E8+D{}"])

@@ -9,7 +9,8 @@ library picks the same pivots with less work, so it must return the same
 ``vertex_invariants`` is checked against ``discriminant_group``, which reads
 it off the Smith factors. A work-count guard pins the number of Smith normal
 forms the atlas build and its check make: one per distinct orthogonal
-component, since every lattice invariant is memoized by component block.
+component, since the 2-part of each block's discriminant form is memoized
+by its entries.
 A second guard records which transforms each caller asks the Smith normal
 form for, so that no caller builds a U or V it does not read. The oracle
 of ``surgery.slide`` is the former dense congruence E^T M E.
@@ -253,7 +254,6 @@ def fresh_k4():
 def clear_block_memos():
     """Empty the per-atom and per-component memos of lattices and atlas."""
     for memo in (realcubic.lattices._atom_block,
-                 realcubic.lattices._block_inertia,
                  realcubic.lattices._block_two_part,
                  realcubic.atlas._block_corank_f2):
         memo.cache_clear()
@@ -344,10 +344,11 @@ def test_slide_rejects_bad_arguments():
 
 def test_gram_and_elimination_work_on_the_atlas_paths(monkeypatch):
     # the build leaves every eigenlattice's Gram matrix in gram's memo, so
-    # the check builds none; signature eliminates one orthogonal component
-    # at a time, and the largest atom, E8, has rank 8; equal components
-    # share one elimination, so 32*E8 takes one and a repeat call none;
-    # det reads the same elimination, in either order
+    # the check builds none; signature and det of an expression read the
+    # atom catalogue, so neither the build, nor its check, nor 32*E8
+    # eliminates anything. The same matrix given as rows is eliminated one
+    # orthogonal component at a time, once, for det and signature in
+    # either order
     atoms, ranks = [], []
     atom_gram = realcubic.lattices._atom_gram
     eliminate = realcubic.lattices._eliminate
@@ -368,23 +369,17 @@ def test_gram_and_elimination_work_on_the_atlas_paths(monkeypatch):
     assert atoms  # the build itself made the Gram matrices
     atoms.clear()
     validate_atlas(atlas)
-    assert atoms == []
-    assert 8 in ranks and max(ranks) == 8
-    ranks.clear()
-    clear_block_memos()
-    assert signature(gram(parse_lattice_expr("32*E8"))) == (256, 0)
-    assert ranks == [8]
-    ranks.clear()
-    assert signature(gram(parse_lattice_expr("32*E8"))) == (256, 0)
+    assert atoms == [] and ranks == []
+    e8s = gram(parse_lattice_expr("32*E8"))
+    assert signature(e8s) == (256, 0) and e8s.det() == 1
     assert ranks == []
-    clear_block_memos()
-    g = gram(parse_lattice_expr("32*E8"))
+    g = gram_from_rows(e8s.rows())
     assert signature(g) == (256, 0) and g.det() == 1
-    assert ranks == [8]
+    assert ranks == [8] * 32
     ranks.clear()
-    clear_block_memos()
+    g = gram_from_rows(e8s.rows())
     assert g.det() == 1 and signature(g) == (256, 0)
-    assert ranks == [8]
+    assert ranks == [8] * 32
     # a degenerate component: det is 0 and signature raises, also when
     # both are read from the memo
     for rows in ([[1, 1], [1, 1]], [[0]], [[2, 0, 0], [0, 0, 0], [0, 0, 4]],

@@ -286,6 +286,38 @@ def test_signature_examples():
         signature(gram_from_rows([[1, 1], [1, 1]]))
 
 
+# the atoms of the catalogue test: A1-A24, D4-D24, E6-E8, U and ten <k>
+CATALOGUE_ATOMS = ([f"A{n}" for n in range(1, 25)]
+                   + [f"D{n}" for n in range(4, 25)] + ["E6", "E7", "E8", "U"]
+                   + [f"<{k}>" for k in (1, 2, 3, 6, 12, -1, -2, -3, -6, -12)])
+
+
+def test_atom_catalogue_matches_elimination_and_enumeration():
+    # signature and det read off the catalogue against one elimination of
+    # the same rows, at scales 1 to 6; on the unscaled positive definite
+    # atoms of rank <= 8, the root count and the least square against the
+    # enumeration; the others count no roots and have no least square
+    scaled = definite = 0
+    for text in CATALOGUE_ATOMS:
+        for s in range(1, 7):
+            g = gram(parse_lattice_expr(f"{text}({s})"))
+            rows = gram_from_rows(g.rows())
+            assert (signature(g), g.det()) == (signature(rows), rows.det())
+            scaled += 1
+        g = gram(parse_lattice_expr(text))
+        (term,) = parse_lattice_expr(text).terms
+        facts = term.facts
+        assert facts.rank == term.atom_rank == g.rank
+        if facts.neg:
+            assert (facts.roots, facts.least) == (0, 0)
+        elif g.rank <= 8:
+            assert facts.roots == len(enumerate_norm_vectors(g, 2)), text
+            assert [k for k in range(1, facts.least + 1)
+                    if enumerate_norm_vectors(g, k)] == [facts.least], text
+            definite += 1
+    assert (scaled, definite) == (354, 21)
+
+
 def random_unimodular(rng, n):
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(3 * n):
