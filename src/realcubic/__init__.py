@@ -13,8 +13,8 @@ from importlib import util as _util
 
 # the names each library module re-exports
 _EXPORTS = {
-    "atlas": ("Atlas", "Edge", "VertexData", "VertexId", "atlas_to_dot",
-              "atlas_to_json", "build_atlas", "classify_type",
+    "atlas": ("Atlas", "Edge", "MoveKind", "VertexData", "VertexId",
+              "atlas_to_dot", "atlas_to_json", "build_atlas", "classify_type",
               "validate_atlas", "vertex_invariants"),
     "intmat": ("AbelianGroup", "cokernel", "det", "smith_normal_form"),
     "lattices": ("AMBIENT_M", "AMBIENT_M0", "DegenerateLatticeError",
@@ -30,8 +30,8 @@ _EXPORTS = {
     "topology": ("MorseEvent", "RealLocusDescriptor", "apply_morse",
                  "descriptor_invariants", "facet_index_options", "propagate",
                  "verify"),
-    "walls": ("CuspVerdict", "MoveKind", "classify_move", "cusp_stratum",
-              "find_a2_pair", "mod3_condition", "refute_a2_mod2"),
+    "walls": ("CuspVerdict", "classify_move", "cusp_stratum", "find_a2_pair",
+              "mod3_condition", "refute_a2_mod2"),
 }
 __all__ = [name for names in _EXPORTS.values() for name in names]
 __version__ = "0.1.0"

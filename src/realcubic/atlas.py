@@ -3,14 +3,15 @@
 The classification tables are encoded as data: 64 principal classes indexed
 by coordinates (i, j) and 11 special (type I) classes, each carrying the
 eigenlattice pair (M_+^0, M_-). The K4-graph connects classes by L- and
-R-moves; the mirrored K3-graph reuses the coordinate skeleton and carries
-the few real-locus annotations the surgery arguments consume.
+R-moves (``MoveKind``); the mirrored K3-graph reuses its skeleton, and its
+export adds the real-locus annotations the surgery arguments consume.
 """
 
 from __future__ import annotations
 
+import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .lattices import (
@@ -23,7 +24,16 @@ from .lattices import (
     signature,
     two_part,
 )
-from .walls import MoveKind, move_between
+
+
+class MoveKind(enum.Enum):
+    L = "L"
+    R = "R"
+    L_INVERSE = "L_inverse"
+    R_INVERSE = "R_inverse"
+
+    def __str__(self) -> str:
+        return self.value
 
 
 @dataclass(frozen=True, order=True)
@@ -54,6 +64,13 @@ class VertexId:
             raise ValueError(f"bad vertex name {text!r}") from None
 
 
+def move_between(source: VertexId, target: VertexId) -> MoveKind | None:
+    """The move from ``source`` to ``target``: L raises i by one, R raises j
+    by one, and any other step is None."""
+    step = (target.i - source.i, target.j - source.j)
+    return {(1, 0): MoveKind.L, (0, 1): MoveKind.R}.get(step)
+
+
 @dataclass(frozen=True)
 class VertexData:
     id: VertexId
@@ -77,8 +94,6 @@ class Atlas:
     kind: str  # "K4" | "K3"
     vertices: dict[VertexId, VertexData]
     edges: tuple[Edge, ...]
-    k3_real_locus: dict[VertexId, str] = field(default_factory=dict)
-    k3_l_plus: dict[VertexId, str] = field(default_factory=dict)
 
     def vertex(self, vid: VertexId) -> VertexData:
         return self.vertices[vid]
@@ -156,13 +171,13 @@ _PAPER_EDGES = [
 TERMINAL = frozenset({VertexId(10, 1), VertexId(2, 1, special=True)})
 
 # K3-graph real-locus annotations consumed by the double-cover arguments
-_K3_REAL_LOCUS = {
+K3_REAL_LOCUS = {
     VertexId(1, 0): "1 torus",
     VertexId(2, 1, special=True): "2 tori",
     VertexId(10, 0): "S10",
     VertexId(10, 1): "S10 + S2",
 }
-_K3_L_PLUS = {VertexId(10, 1): "U"}
+K3_L_PLUS = {VertexId(10, 1): "U"}
 
 
 @lru_cache(maxsize=None)
@@ -241,8 +256,7 @@ def build_atlas(kind: str = "K4") -> Atlas:
     real-locus annotations. Each process builds the vertex table once."""
     if kind == "K3":
         k4 = build_atlas("K4")
-        return Atlas("K3", dict(k4.vertices), k4.edges,
-                     dict(_K3_REAL_LOCUS), dict(_K3_L_PLUS))
+        return Atlas("K3", dict(k4.vertices), k4.edges)
     if kind != "K4":
         raise ValueError(f"unknown graph kind {kind!r}")
     vertices = {vid: table_vertex(vid) for vid in vertex_ids()}
@@ -434,9 +448,9 @@ def atlas_to_json(a: Atlas) -> str:
             for e in a.edges
         ],
     }
-    if a.k3_real_locus:
-        data["k3_real_locus"] = {str(k): v for k, v in a.k3_real_locus.items()}
-        data["k3_l_plus"] = {str(k): v for k, v in a.k3_l_plus.items()}
+    if a.kind == "K3":
+        data["k3_real_locus"] = {str(k): v for k, v in K3_REAL_LOCUS.items()}
+        data["k3_l_plus"] = {str(k): v for k, v in K3_L_PLUS.items()}
     return json.dumps(data, indent=2)
 
 

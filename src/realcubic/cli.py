@@ -37,14 +37,14 @@ MAX_DET_BITS = 2048
 
 # most coordinates `lattice roots` may reach, counted before the search as
 # rank times the vectors of norm 1 to --norm (the search reaches all of
-# them); "32*E8" --norm 2 has 7680 * 256 = 1966080 and takes about 3 s
-# (2 vCPU, Python 3.11)
+# them); "32*E8" --norm 2 has 7680 * 256 = 1966080 and takes 1.8-2.5 s as
+# a fresh process (2 vCPU, Python 3.11)
 MAX_ROOT_COORDS = 2_000_000
 
 # largest linking matrix `surgery h1 --matrix` accepts, checked before the
 # Smith normal form runs: dense random 32x32 input with entries up to 10^6
-# takes about 2 s, 48x48 with entries up to 1000 about 5 s (2 vCPU,
-# Python 3.11)
+# takes about 0.1 s in process and 0.2 s as a fresh process, 48x48 with
+# entries up to 1000 about 0.2 s in process (2 vCPU, Python 3.11)
 MAX_LINK_SIZE = 32
 MAX_LINK_ENTRY = 10 ** 6
 
@@ -185,11 +185,14 @@ def _cmd_topology(args) -> int:
 def _cmd_ramified(args) -> int:
     chi = ramified.euler_perturbation(
         ramified.PerturbationData(args.chiP, args.chiPplus, args.chiL))
-    r = 11 + (1 - chi) // 2 if (1 - chi) % 2 == 0 else None
     out = {"chi": chi}
-    if r is not None:
-        out["r"] = r
-    print(json.dumps(out))
+    if (1 - chi) % 2 == 0:
+        out["r"] = 11 + (1 - chi) // 2
+    try:
+        print(json.dumps(out))
+    except ValueError as exc:  # past the interpreter's int-to-str limit
+        print(f"unsupported: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     return EXIT_OK
 
 
@@ -219,7 +222,7 @@ def _cmd_surgery(args) -> int:
                       f"{MAX_LINK_ENTRY}", file=sys.stderr)
                 return EXIT_UNSUPPORTED
             group = surgery_mod.h1_from_linking(m)
-        except (json.JSONDecodeError, ValueError, TypeError) as exc:
+        except (ValueError, TypeError, RecursionError) as exc:
             print(f"bad --matrix: {exc}", file=sys.stderr)
             return EXIT_USAGE
         print(f"H1 = {group}")

@@ -660,22 +660,24 @@ def count_short_vectors(expr: LatticeExpr, norm: int,
     whose search reaches every such vector. The theta series of an
     orthogonal sum is the product of its summands' series, so each distinct
     atom is searched once, and no search or product goes past the limit
-    (a summand has no more short vectors than the whole sum). First the
-    catalogue's root counts (of square 2 * scale) bound the count from
-    below, and no atom is searched whose least square times its scale is
-    past the norm (U and negative <k> have none: the search refuses them).
+    (a summand has no more short vectors than the whole sum). Before any
+    search, closed forms bound the count from below: a positive definite
+    atom copy at scale s has its roots (square 2s) and the 2 * isqrt(norm //
+    (m * s)) multiples of a least vector (square m * s), all the vectors of
+    a rank-1 atom. No atom is searched whose least square times its scale
+    is past the norm (U and negative <k> have none: the search refuses it).
     """
     if norm <= 0:
         raise LatticeError("norm must be positive")
+    if sum(t.mult * max(t.facts.roots * (2 * t.scale <= norm),
+                        2 * math.isqrt(norm // (t.facts.least * t.scale))
+                        if t.facts.least else 0)
+           for t in expr.terms) > limit:
+        return None
     series = {0: 1}
     atoms: dict[LatticeExpr, dict[int, int]] = {}
-    roots = 0
     try:
         for t in expr.terms:
-            if 2 * t.scale <= norm:
-                roots += t.mult * t.facts.roots
-            if roots > limit:
-                return None
             if t.facts.least * t.scale > norm:  # no short vector
                 continue
             atom = LatticeExpr((Term(1, t.kind, t.n, t.scale),))

@@ -19,18 +19,19 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .atlas import (
-    _K3_L_PLUS,
-    _K3_REAL_LOCUS,
+    K3_L_PLUS,
+    K3_REAL_LOCUS,
     TERMINAL,
     Atlas,
     CheckResult,
     Edge,
+    MoveKind,
     VertexId,
     coordinates,
     validate_atlas,
 )
 from .ramified import add_unknotted_handle, lift_morse_index
-from .walls import Mod2Refutation, MoveKind, cusp_stratum
+from .walls import Mod2Refutation, cusp_stratum
 
 
 class UnsupportedMorseError(ValueError):
@@ -218,8 +219,8 @@ def _walk(atlas: Atlas) -> dict[VertexId, Assignment]:
             apply_morse(prev.descriptor, MorseEvent(lifted)),
             prev.justification
             + (f"terminal wall {c10_0}-{c10_1}: K3 locus "
-               f"{_K3_REAL_LOCUS[c10_0]} collapses to "
-               f"{_K3_REAL_LOCUS[c10_1]} (L+ = {_K3_L_PLUS[c10_1]} admits "
+               f"{K3_REAL_LOCUS[c10_0]} collapses to "
+               f"{K3_REAL_LOCUS[c10_1]} (L+ = {K3_L_PLUS[c10_1]} admits "
                f"no A2 pair); branch index 0 lifts to index {lifted}; "
                "adds S1xS3",))
 

@@ -11,10 +11,10 @@ invariant (C. Arf, J. reine angew. Math. 183 (1941)).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
+from .atlas import MoveKind, VertexData, move_between
 from .lattices import (
     GramMatrix,
     LatticeExpr,
@@ -25,36 +25,15 @@ from .lattices import (
     is_six_root,
 )
 
-if TYPE_CHECKING:
-    from .atlas import VertexData, VertexId
 
-
-class MoveKind(enum.Enum):
-    L = "L"
-    R = "R"
-    L_INVERSE = "L_inverse"
-    R_INVERSE = "R_inverse"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-def move_between(source: "VertexId",
-                 target: "VertexId") -> Optional[MoveKind]:
-    """The move from ``source`` to ``target``: L raises i by one, R raises j
-    by one, and any other step is None."""
-    step = (target.i - source.i, target.j - source.j)
-    return {(1, 0): MoveKind.L, (0, 1): MoveKind.R}.get(step)
-
-
-def _plus_gram(vertex: "VertexData") -> GramMatrix:
+def _plus_gram(vertex: VertexData) -> GramMatrix:
     # M_+ contains M_+^0 + <h> with h of square 3 and odd index over it, so
     # pairing parities over these generators determine parities over all of
     # M_+; the final coordinate of a vector is its h-coefficient.
     return gram(LatticeExpr(vertex.m_plus0.terms + (Term(1, "diag", 3),)))
 
 
-def classify_move(v: Vector, side: str, vertex: "VertexData") -> MoveKind:
+def classify_move(v: Vector, side: str, vertex: VertexData) -> MoveKind:
     """Move kind of the wall with vanishing cycle v on the given eigenlattice.
 
     side = "minus": v is a 2-root of M_-; side = "plus": v is a 2-root of

@@ -5,6 +5,8 @@ import pytest
 
 import realcubic.atlas
 from realcubic.atlas import (
+    K3_L_PLUS,
+    K3_REAL_LOCUS,
     PRINCIPAL_TYPE_ONE,
     VertexId,
     atlas_to_dot,
@@ -147,13 +149,21 @@ def test_dot_export(k4):
 
 
 def test_k3_atlas(k3):
+    # the annotations live once, in the atlas tables; only the K3 export
+    # carries them
     assert k3.kind == "K3"
     assert set(k3.vertices) == set(build_atlas("K4").vertices)
-    assert k3.k3_real_locus[VertexId(1, 0)] == "1 torus"
-    assert k3.k3_real_locus[VertexId(2, 1, special=True)] == "2 tori"
-    assert k3.k3_real_locus[VertexId(10, 0)] == "S10"
-    assert k3.k3_real_locus[VertexId(10, 1)] == "S10 + S2"
-    assert k3.k3_l_plus[VertexId(10, 1)] == "U"
+    assert K3_REAL_LOCUS == {VertexId(1, 0): "1 torus",
+                             VertexId(2, 1, special=True): "2 tori",
+                             VertexId(10, 0): "S10",
+                             VertexId(10, 1): "S10 + S2"}
+    assert K3_L_PLUS == {VertexId(10, 1): "U"}
+    data = json.loads(atlas_to_json(k3))
+    assert list(data)[-2:] == ["k3_real_locus", "k3_l_plus"]
+    assert data["k3_real_locus"] == {"C1,0": "1 torus", "C2,1_I": "2 tori",
+                                     "C10,0": "S10", "C10,1": "S10 + S2"}
+    assert data["k3_l_plus"] == {"C10,1": "U"}
+    assert "k3_real_locus" not in json.loads(atlas_to_json(build_atlas("K4")))
 
 
 def test_unknown_kind():

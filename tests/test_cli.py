@@ -157,6 +157,15 @@ def test_ramified_euler(capsys):
     assert json.loads(out) == {"chi": 3, "r": 10}
 
 
+def test_ramified_euler_refuses_chi_past_the_digit_limit(capsys):
+    # each input is within the 4300-digit limit, chi = 2 * 5...5 is not
+    big = "5" * 4300
+    code, out, err = run(capsys, "ramified", "euler", "--chiP", "0",
+                         "--chiPplus", big, "--chiL", "0")
+    assert code == 3 and out == ""
+    assert err.startswith("unsupported: Exceeds the limit (4300 digits)")
+
+
 def test_surgery_h1(capsys):
     code, out, _ = run(capsys, "surgery", "h1", "--matrix",
                        "[[-4,2],[2,-2]]")
@@ -215,6 +224,14 @@ def test_surgery_h1_rejects_non_integer_matrices(capsys, matrix):
     code, out, err = run(capsys, "surgery", "h1", "--matrix", matrix)
     assert code == 2 and out == ""
     assert "bad --matrix" in err
+
+
+def test_surgery_h1_rejects_deeply_nested_json(capsys):
+    # the JSON decoder recurses once per level
+    matrix = "[" * 100000 + "]" * 100000
+    code, out, err = run(capsys, "surgery", "h1", "--matrix", matrix)
+    assert code == 2 and out == ""
+    assert err.startswith("bad --matrix: maximum recursion depth exceeded")
 
 
 def _refuse_snf(monkeypatch):
@@ -443,6 +460,24 @@ def test_lattice_roots_refuses_from_the_root_counts(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err == ("unsupported: more than 7812 vectors of norm 1 to 2 in "
                    "rank 256 (at most 2000000 coordinates)\n")
+
+
+@pytest.mark.parametrize("text", ["<1>", "A1", "2*<3>(5)", "A2", "U+E8"])
+def test_lattice_roots_refuses_a_huge_norm_from_the_closed_forms(
+        capsys, monkeypatch, text):
+    # a vector of least square m has 2 * isqrt(norm // m) multiples of norm
+    # 1 to norm, here far past the limit: refused from that count, before
+    # the walk (which would stop only after the limit's leaves, or at U)
+    def fail(*args):
+        raise AssertionError("an elimination ran")
+    monkeypatch.setattr(realcubic.lattices, "_eliminate", fail)
+    norm = "9" * 26
+    code, out, err = run(capsys, "lattice", "roots", text, "--norm", norm)
+    rank = realcubic.lattices.parse_lattice_expr(text).rank
+    assert code == 3 and out == ""
+    assert err == (f"unsupported: more than {2000000 // rank} vectors of norm "
+                   f"1 to {norm} in rank {rank} (at most 2000000 "
+                   "coordinates)\n")
 
 
 def test_lattice_roots_without_short_vectors_runs_no_elimination(

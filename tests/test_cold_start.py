@@ -21,8 +21,9 @@ LAYERS = ("atlas", "intmat", "lattices", "ramified", "surgery", "topology",
           "walls")
 # what the package re-exports, by home module, in the order of __all__
 EXPORTS = {
-    "atlas": "Atlas Edge VertexData VertexId atlas_to_dot atlas_to_json "
-             "build_atlas classify_type validate_atlas vertex_invariants",
+    "atlas": "Atlas Edge MoveKind VertexData VertexId atlas_to_dot "
+             "atlas_to_json build_atlas classify_type validate_atlas "
+             "vertex_invariants",
     "intmat": "AbelianGroup cokernel det smith_normal_form",
     "lattices": "AMBIENT_M AMBIENT_M0 DegenerateLatticeError DiscriminantForm "
                 "GramMatrix IndefiniteLatticeError LatticeExpr ParseError "
@@ -34,7 +35,7 @@ EXPORTS = {
                "h1_from_linking lifted_framing slide spiral_scenario",
     "topology": "MorseEvent RealLocusDescriptor apply_morse "
                 "descriptor_invariants facet_index_options propagate verify",
-    "walls": "CuspVerdict MoveKind classify_move cusp_stratum find_a2_pair "
+    "walls": "CuspVerdict classify_move cusp_stratum find_a2_pair "
              "mod3_condition refute_a2_mod2",
 }
 
@@ -72,6 +73,8 @@ def test_import_loads_no_library_module():
     (["ramified", "euler", "--chiP", "3", "--chiPplus", "2", "--chiL", "1"],
      ["ramified"]),
     (["lattice", "info", "A2"], ["intmat", "lattices"]),
+    (["atlas", "build", "--graph", "k4", "--format", "json"],
+     ["atlas", "intmat", "lattices"]),
 ])
 def test_command_loads_only_what_it_calls(argv, modules):
     body = ("from realcubic.cli import main\n"
@@ -116,6 +119,8 @@ def test_all_is_the_exported_names_of_their_home_modules():
         for name in names.split():
             assert getattr(realcubic, name) is getattr(home, name), name
     assert set(want) <= set(dir(realcubic))
+    # walls uses the atlas's move vocabulary, and older code imports it there
+    assert realcubic.walls.MoveKind is realcubic.atlas.MoveKind
     with pytest.raises(AttributeError):
         realcubic.no_such_name
 

@@ -11,6 +11,8 @@ import random
 from typing import Optional
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from realcubic.lattices import (
     LatticeError,
@@ -18,7 +20,7 @@ from realcubic.lattices import (
     gram,
     parse_lattice_expr,
 )
-from realcubic.walls import Mod2Refutation, refute_a2_mod2
+from realcubic.walls import Mod2Refutation, find_a2_pair, refute_a2_mod2
 
 # largest candidate count the mod-2 refuter pairs: its int64 pairing matrix
 # is then 2 GiB
@@ -125,3 +127,53 @@ def test_refutes_past_the_former_caps():
     assert r == Mod2Refutation(65536, 18)
     assert str(r) == ("all 65536 candidate classes mod 2L pair evenly "
                       "(rank 18 residue sweep)")
+
+
+def box_a2_pair(expr: LatticeExpr) -> bool:
+    """Whether v1, v2 with squares 2 and pairing -1 exist among the vectors
+    of coordinates in [-2, 2]."""
+    import numpy as np
+
+    g = np.array(gram(expr).rows(), dtype=np.int64)
+    box = np.array(list(itertools.product(range(-2, 3), repeat=len(g))),
+                   dtype=np.int64)
+    roots = box[np.einsum("ij,jk,ik->i", box, g, box) == 2]
+    return bool((roots @ g @ roots.T == -1).any())
+
+
+@st.composite
+def small_sums(draw) -> LatticeExpr:
+    """A sum of grammar atoms of rank <= 6, U, <k> and scales included."""
+    terms, rank = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        atom = draw(st.sampled_from(["A1", "A2", "A3", "A6", "D4", "D6", "E6",
+                                     "U", "<k>"]))
+        if atom == "<k>":
+            atom = f"<{draw(st.integers(-6, 6).filter(bool))}>"
+        scale = draw(st.sampled_from((1, 1, 1, 2, 3)))  # pairs need 1
+        term = parse_lattice_expr(f"{draw(st.integers(1, 3))}*{atom}({scale})")
+        if rank + term.rank > 6:
+            break
+        terms.append(term.terms[0])
+        rank += term.rank
+    return LatticeExpr(tuple(terms)) if terms else parse_lattice_expr("U")
+
+
+def test_refuter_is_sound_against_box_search():
+    seen = {"refuted": 0, "found": 0}
+
+    @settings(max_examples=120, derandomize=True, database=None,
+              deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(small_sums())
+    def check(expr):
+        refutation, pair = refute_a2_mod2(expr), find_a2_pair(expr)
+        if refutation is not None:
+            seen["refuted"] += 1
+            assert not box_a2_pair(expr), expr
+        if pair is not None:
+            seen["found"] += 1
+            assert pair.verify(gram(expr)) and refutation is None, expr
+
+    check()
+    # both branches are exercised, not just the vacuous one
+    assert min(seen.values()) >= 20, seen
