@@ -42,10 +42,11 @@ MAX_DET_BITS = 2048
 MAX_ROOT_COORDS = 2_000_000
 
 # largest linking matrix `surgery h1 --matrix` accepts, checked before the
-# Smith normal form runs: dense random 32x32 input with entries up to 10^6
-# takes about 0.1 s in process and 0.2 s as a fresh process, 48x48 with
-# entries up to 1000 about 0.2 s in process (2 vCPU, Python 3.11)
-MAX_LINK_SIZE = 32
+# Smith normal form runs: as a fresh process, dense random symmetric input
+# with entries up to 10^6 takes 0.16-0.19 s at 32x32, 0.28-0.39 s at 40x40,
+# up to 0.52 s at 44x44 and up to 0.75 s at 48x48 (2 vCPU, Python 3.11), so
+# 40x40 is the largest size that stays within 0.5 s
+MAX_LINK_SIZE = 40
 MAX_LINK_ENTRY = 10 ** 6
 
 

@@ -12,6 +12,7 @@ invariant (C. Arf, J. reine angew. Math. 183 (1941)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .atlas import MoveKind, VertexData, move_between
@@ -229,14 +230,21 @@ def cusp_stratum(edge) -> CuspVerdict:
 
     ``edge`` is (source VertexData, target VertexData) in edge order, the
     target the lower-d endpoint X_-. R-walls are searched in M_-(X_-),
-    L-walls in M_+^0(X_-).
+    L-walls in M_+^0(X_-). The verdict depends on that host lattice alone,
+    so each host is judged once per process (``_verdict``) and its verdict
+    shared: every part of a verdict is frozen.
     """
     src, dst = edge
     move = move_between(src.id, dst.id)
     if move is None:
         raise ValueError(
             f"vertices {src.id} and {dst.id} are not adjacent by one move")
-    expr = dst.m_minus if move == MoveKind.R else dst.m_plus0
+    return _verdict(dst.m_minus if move == MoveKind.R else dst.m_plus0)
+
+
+@lru_cache(maxsize=None)
+def _verdict(expr: LatticeExpr) -> CuspVerdict:
+    """The cusp verdict of the wall whose host lattice is ``expr``."""
     pair = find_a2_pair(expr)
     if pair is None:
         refutation = refute_a2_mod2(expr)
@@ -251,9 +259,9 @@ def cusp_stratum(edge) -> CuspVerdict:
         return CuspVerdict(
             "Unknown", detail=f"A2 pair in {expr} ({pair.host}) fails the "
             f"mod-3 condition and {expr} has no unscaled U to shift it by")
-    v6 = _add(cert.v1, cert.v2, -1)
-    if not (cert.verify(g) and mod3_condition(cert.v1, cert.v2, g)
-            and g.norm(v6) == 6 and not is_six_root(v6, g)):
+    # v1^2 = v2^2 = 2 and v1.v2 = -1 give (v1 - v2)^2 = 6, so v1 - v2 is
+    # not a 6-root exactly when it meets the mod-3 condition
+    if not (cert.verify(g) and not is_six_root(_add(cert.v1, cert.v2, -1), g)):
         raise AssertionError(f"A2 pair in {expr} ({cert.host}) fails its "
                              "check")
     return CuspVerdict("Yes", certificate=cert,

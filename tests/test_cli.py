@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ import realcubic.cli
 import realcubic.topology
 from realcubic.atlas import build_atlas, table_edges
 from realcubic.cli import main
+from realcubic.intmat import det
 from realcubic.topology import verify
 
 
@@ -269,6 +272,23 @@ def test_surgery_h1_accepts_matrix_at_both_limits(capsys):
                        json.dumps(matrix))
     assert code == 0
     assert out.strip() == f"H1 = Z/{top} + Z/{top}"
+
+
+def test_surgery_h1_accepts_a_dense_matrix_at_the_size_limit(capsys):
+    # the worst case the cap is sized on: dense, symmetric, entries up to
+    # the entry limit; H1 has order |det|, from the Bareiss determinant
+    n, top = realcubic.cli.MAX_LINK_SIZE, realcubic.cli.MAX_LINK_ENTRY
+    rng = random.Random(n)
+    matrix = [[0] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r, n):
+            matrix[r][c] = matrix[c][r] = rng.randint(-top, top)
+    code, out, _ = run(capsys, "surgery", "h1", "--matrix",
+                       json.dumps(matrix))
+    assert code == 0
+    orders = [int(p.removeprefix("Z/"))
+              for p in out.strip().removeprefix("H1 = ").split(" + ")]
+    assert math.prod(orders) == abs(det(matrix)) > 0
 
 
 def test_cusp_check_rejects_non_classes(capsys):

@@ -8,12 +8,18 @@ W = V^T G V, from which the tests read q and b, and decides the 2-part by a
 divisibility criterion instead.
 """
 
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from realcubic.intmat import smith_normal_form
 from realcubic.lattices import (
+    LatticeExpr,
     discriminant_form,
     discriminant_group,
     gram,
@@ -168,3 +174,81 @@ def test_no_two_primary_cap():
     df = discriminant_form(gram(parse_lattice_expr("3*E8(2)")))
     assert df.group.invariant_factors == (2,) * 24
     assert df.two_part_integer
+
+
+def _scaled_inverse(rows, det):
+    """det * G^-1, an integer matrix, by Gauss-Jordan over Fractions."""
+    n = len(rows)
+    a = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(rows)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if a[r][c])
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    inv = [[x * det for x in r[n:]] for r in a]
+    assert all(x.denominator == 1 for r in inv for x in r)
+    return [[int(x) for x in r] for r in inv]
+
+
+def brute_element_orders(g):
+    """Counter of element orders of L*/L, from the classes of G^-1 e mod Z^n
+    for every e in [0, |det|)^n."""
+    import numpy as np
+
+    d = abs(g.det())
+    inv = np.array(_scaled_inverse(g.rows(), d), dtype=np.int64)
+    e = np.array(list(itertools.product(range(d), repeat=g.rank)),
+                 dtype=np.int64)
+    classes = np.unique(e @ inv.T % d, axis=0)  # d * (G^-1 e mod Z^n)
+    return Counter(d // math.gcd(d, *map(int, c)) for c in classes)
+
+
+def group_element_orders(factors):
+    """Counter of element orders of Z/d_1 + ... + Z/d_k."""
+    return Counter(
+        math.lcm(*(d // math.gcd(c, d) for c, d in zip(cs, factors)))
+        for cs in itertools.product(*map(range, factors)))
+
+
+@st.composite
+def small_nondegenerate_sums(draw) -> LatticeExpr:
+    """A grammar sum of rank <= 4 with |det| <= 12, scales included."""
+    terms, rank = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        atom = draw(st.sampled_from(["A1", "A2", "A3", "A4", "D4", "U",
+                                     "<k>"]))
+        if atom == "<k>":
+            atom = f"<{draw(st.integers(-12, 12).filter(bool))}>"
+        scale = draw(st.sampled_from((1, 1, 1, 2, 3)))
+        term = parse_lattice_expr(f"{draw(st.integers(1, 2))}*{atom}({scale})")
+        if rank + term.rank > 4:
+            break
+        terms.append(term.terms[0])
+        rank += term.rank
+    expr = LatticeExpr(tuple(terms)) if terms else parse_lattice_expr("U")
+    assume(abs(gram(expr).det()) <= 12)
+    return expr
+
+
+def test_discriminant_group_matches_brute_force_enumeration():
+    seen = Counter()
+
+    @settings(max_examples=150, derandomize=True, database=None,
+              deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.filter_too_much])
+    @given(small_nondegenerate_sums())
+    def check(expr):
+        g = gram(expr)
+        factors = discriminant_group(g).invariant_factors
+        orders = brute_element_orders(g)
+        assert sum(orders.values()) == abs(g.det()), expr
+        assert orders == group_element_orders(factors), expr
+        seen[len(factors)] += 1
+
+    check()
+    # trivial, cyclic and non-cyclic groups all occur
+    assert {0, 1, 2} <= set(seen), seen

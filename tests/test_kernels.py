@@ -16,12 +16,16 @@ form for, so that no caller builds a U or V it does not read. The oracle
 of ``surgery.slide`` is the former dense congruence E^T M E.
 """
 
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import realcubic.atlas
 import realcubic.intmat
 import realcubic.lattices
+import realcubic.walls
 from realcubic.atlas import _two_rank, build_atlas, validate_atlas
 from realcubic.cli import main
 from realcubic.intmat import (
@@ -251,12 +255,36 @@ def fresh_k4():
     return build_atlas.__wrapped__("K4")
 
 
-def clear_block_memos():
-    """Empty the per-atom and per-component memos of lattices and atlas."""
-    for memo in (realcubic.lattices._atom_block,
-                 realcubic.lattices._block_two_part,
-                 realcubic.atlas._block_corank_f2):
-        memo.cache_clear()
+# every memo (lru_cache) of the library, so that a test can start from none
+MEMOS = (
+    realcubic.lattices._atom_block,
+    realcubic.lattices.gram,
+    realcubic.lattices._block_two_part,
+    realcubic.atlas._table_term,
+    build_atlas,
+    realcubic.atlas._block_corank_f2,
+    realcubic.walls._verdict,
+)
+
+
+def clear_memos():
+    """Empty every memo but build_atlas's, whose entries are the session's
+    k4 and k3 fixtures (``fresh_k4`` builds past it)."""
+    for memo in MEMOS:
+        if memo is not build_atlas:
+            memo.cache_clear()
+
+
+def test_every_library_memo_is_listed():
+    found = {}
+    for info in pkgutil.iter_modules(realcubic.__path__):
+        module = importlib.import_module(f"realcubic.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_clear"):
+                found[id(value)] = f"{module.__name__}.{name}"
+    assert len(found) > 1  # the scan sees memos at all
+    listed = {id(memo) for memo in MEMOS}
+    assert [name for key, name in found.items() if key not in listed] == []
 
 
 def counting_snf(calls: list):
@@ -276,7 +304,7 @@ def test_smith_normal_form_counts_on_the_atlas_paths(monkeypatch):
     calls = []
     monkeypatch.setattr(realcubic.lattices, "smith_normal_form",
                         counting_snf(calls))
-    clear_block_memos()
+    clear_memos()
     atlas = fresh_k4()
     assert sorted(n for n, _, _ in calls) == [1, 1, 1, 2, 2, 2, 4, 6, 7, 8, 8]
     assert all((u, v) == (False, True) for _, u, v in calls)
@@ -363,8 +391,7 @@ def test_gram_and_elimination_work_on_the_atlas_paths(monkeypatch):
 
     monkeypatch.setattr(realcubic.lattices, "_atom_gram", counting_atom_gram)
     monkeypatch.setattr(realcubic.lattices, "_eliminate", counting_eliminate)
-    gram.cache_clear()
-    clear_block_memos()
+    clear_memos()
     atlas = fresh_k4()
     assert atoms  # the build itself made the Gram matrices
     atoms.clear()
@@ -405,8 +432,7 @@ def test_a_cold_build_never_scans_for_components(monkeypatch):
 
     monkeypatch.setattr(realcubic.lattices, "_components",
                         counting_components)
-    gram.cache_clear()
-    clear_block_memos()
+    clear_memos()
     atlas = fresh_k4()
     validate_atlas(atlas)
     for e in atlas.edges:

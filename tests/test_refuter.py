@@ -1,7 +1,8 @@
 """Differential and hand tests of the mod-2 refuter.
 
-The oracle is the former library code, kept as it was: it sweeps all 2^rank
-classes of L/2L in numpy and pairs every candidate class with every other.
+The oracle is the former library code, kept as it was but for the product
+that pairs the candidates: it sweeps all 2^rank classes of L/2L in numpy and
+pairs every candidate class with every other, mod 2.
 The library decides the same predicate from an F2 normal form (radical plus
 symplectic planes, and the Arf invariant) without listing the classes.
 """
@@ -22,8 +23,8 @@ from realcubic.lattices import (
 )
 from realcubic.walls import Mod2Refutation, find_a2_pair, refute_a2_mod2
 
-# largest candidate count the mod-2 refuter pairs: its int64 pairing matrix
-# is then 2 GiB
+# largest candidate count the mod-2 refuter pairs: its float64 product is
+# then 2 GiB
 _MAX_CANDIDATES = 1 << 14
 
 
@@ -44,9 +45,9 @@ def oracle_refute_a2_mod2(expr: LatticeExpr) -> Optional[Mod2Refutation]:
     if rank > 16:
         raise LatticeError("mod-2 refutation limited to rank <= 16")
     gm = np.array(g.rows(), dtype=np.int64)
-    # all residue classes as rows of a (2^rank, rank) 0/1 matrix
-    classes = np.array(list(itertools.product((0, 1), repeat=rank)),
-                       dtype=np.int64)
+    # all residue classes as rows of a (2^rank, rank) 0/1 matrix: the bits
+    # of 0 .. 2^rank - 1, in itertools.product order
+    classes = np.arange(1 << rank)[:, None] >> np.arange(rank - 1, -1, -1) & 1
     norms = np.einsum("ij,jk,ik->i", classes, gm, classes)
     cand = classes[norms % 4 == 2]
     if len(cand) == 0:
@@ -54,8 +55,13 @@ def oracle_refute_a2_mod2(expr: LatticeExpr) -> Optional[Mod2Refutation]:
     if len(cand) > _MAX_CANDIDATES:
         raise LatticeError(f"mod-2 refutation limited to {_MAX_CANDIDATES} "
                            f"candidate classes, got {len(cand)}")
-    pairings = cand @ gm @ cand.T
-    if np.all(pairings % 2 == 0):
+    # every candidate pair's pairing mod 2, as the product of the candidates'
+    # pairings with the basis, reduced mod 2, and the candidates: its entries
+    # are counts of at most `rank` ones, so float64, which BLAS multiplies,
+    # holds them exactly (an int64 product is an unblocked loop)
+    parities = ((cand @ gm) % 2).astype(np.float64)
+    pairings = (parities @ cand.T.astype(np.float64)).astype(np.uint8)
+    if not (pairings & 1).any():
         return Mod2Refutation(len(cand), rank)
     return None
 

@@ -17,6 +17,7 @@ from realcubic.walls import (
     MoveKind,
     _add,
     _unit,
+    _verdict,
     classify_move,
     cusp_stratum,
     find_a2_pair,
@@ -196,6 +197,7 @@ def test_cusp_stratum_skips_the_refuter_once_a_pair_is_found(k4, monkeypatch):
         raise AssertionError(f"refuter called on {expr}")
 
     monkeypatch.setattr(realcubic.walls, "refute_a2_mod2", refuter)
+    _verdict.cache_clear()  # judge the wall afresh
     src, dst = k4.vertex(VertexId(0, 9)), k4.vertex(VertexId(1, 9))
     verdict = cusp_stratum((src, dst))
     assert verdict.kind == "Unknown"
@@ -281,3 +283,61 @@ def test_shifted_pair_matches_former_retry(k4, edge_verdicts):
             assert is_shift == (old.host == "mixed-summand search"), e
             shifted += is_shift
     assert shifted == 27
+
+
+def _ends(k4, e):
+    return k4.vertex(e.source), k4.vertex(e.target)
+
+
+def test_cusp_stratum_judges_each_host_once(k4, monkeypatch):
+    # the 117 walls have 117 distinct hosts, each judged on first sight
+    fresh = {e: _verdict.__wrapped__(_host(k4, e)) for e in k4.edges}
+    _verdict.cache_clear()
+    first = {e: cusp_stratum(_ends(k4, e)) for e in k4.edges}
+    assert first == fresh
+    hosts = {_host(k4, e) for e in k4.edges}
+    assert _verdict.cache_info().misses == len(hosts) == 117
+
+    def fail(expr):
+        raise AssertionError(f"{expr} judged twice")
+
+    monkeypatch.setattr(realcubic.walls, "find_a2_pair", fail)
+    monkeypatch.setattr(realcubic.walls, "refute_a2_mod2", fail)
+    assert all(cusp_stratum(_ends(k4, e)) is v for e, v in first.items())
+
+
+def test_cached_hosts_still_check_the_move(k4):
+    for pair in (("C0,1", "C0,0"), ("C0,0", "C2,0")):
+        src, dst = (k4.vertex(VertexId.parse(x)) for x in pair)
+        for v in (src, dst):
+            _verdict(v.m_minus), _verdict(v.m_plus0)
+        with pytest.raises(ValueError, match="not adjacent by one move"):
+            cusp_stratum((src, dst))
+
+
+def test_to_dict_cannot_touch_the_cached_verdict(k4):
+    ends = k4.vertex(VertexId(0, 0)), k4.vertex(VertexId(0, 1))
+    verdict = cusp_stratum(ends)
+    want = verdict.to_dict()
+    d = verdict.to_dict()
+    d["verdict"] = "No"
+    d["certificate"]["v1"].append(99)
+    d["certificate"]["v2"][0] += 1
+    assert cusp_stratum(ends) is verdict
+    assert verdict.to_dict() == want
+
+
+# C0,9:C1,9 is an L-wall into <-2>+A2: the simple roots of A2 are an A2 pair
+# whose difference is a 6-root, and there is no U to shift it by
+@pytest.mark.parametrize("forge", [
+    lambda c: A2Certificate(c.v1, tuple(-x for x in c.v2), c.host),  # +1
+    lambda c: c,  # v1 - v2 a 6-root: the mod-3 shift skipped
+], ids=["pairing", "six-root"])
+def test_cusp_stratum_rejects_a_forged_certificate(k4, monkeypatch, forge):
+    ends = k4.vertex(VertexId(0, 9)), k4.vertex(VertexId(1, 9))
+    assert cusp_stratum(ends).kind == "Unknown"
+    monkeypatch.setattr(realcubic.walls, "_mod3_pair",
+                        lambda cert, g: forge(cert))
+    _verdict.cache_clear()
+    with pytest.raises(AssertionError, match="fails its check"):
+        cusp_stratum(ends)
