@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .lattices import (
-    GramMatrix,
     LatticeExpr,
     Term,
-    Vector,
     gram,
     parse_lattice_expr,
     signature,
@@ -282,34 +280,6 @@ def table_edges() -> tuple[Edge, ...]:
     return tuple(edges)
 
 
-@lru_cache(maxsize=None)
-def _block_corank_f2(block: tuple[Vector, ...]) -> int:
-    """n - rank(B mod 2) of one component block B, by elimination over F2
-    with rows as bitmasks."""
-    pivots: dict[int, int] = {}  # lowest set bit -> reduced row
-    for r in block:
-        x = sum(1 << j for j, e in enumerate(r) if e % 2)
-        while x:
-            low = x & -x
-            if low not in pivots:
-                pivots[low] = x
-                break
-            x ^= pivots[low]
-    return len(block) - len(pivots)
-
-
-def _two_rank(g: GramMatrix) -> int:
-    """dim A/2A of the discriminant group A of a nondegenerate ``g``.
-
-    That is the number of even Smith factors of G, which is n - rank(G mod 2),
-    summed here over the orthogonal components, each distinct block
-    eliminated over F2 once (``_block_corank_f2``); no Smith normal form is
-    computed. The caller must have ruled out a degenerate ``g`` (as
-    ``signature`` does): there a zero factor is even but counts in no A.
-    """
-    return sum(_block_corank_f2(b) for b in g.component_blocks)
-
-
 def coordinates(r: int, d: int) -> tuple[int, int]:
     """The (i, j) of a class with invariants (r, d): i = (22 - r - d) / 2 and
     j = (r - d) / 2, integers iff r - d is even (then so is 22 - r - d)."""
@@ -321,9 +291,9 @@ def coordinates(r: int, d: int) -> tuple[int, int]:
 def vertex_invariants(v: VertexData) -> tuple[int, int, int, int, int, int]:
     """(r, d, i, j, b_star, chi), checked against the stored id.
 
-    d is the F2 two-rank of each Gram matrix, a route that shares no
-    arithmetic with ``table_vertex`` (only the split into components), and
-    must equal the table's d.
+    d is the F2 two-rank of each Gram matrix (``GramMatrix.two_rank``), a
+    route that shares no arithmetic with ``table_vertex`` (only the split
+    into components), and must equal the table's d.
     """
     g_plus, g_minus = gram(v.m_plus0), gram(v.m_minus)
     r = g_minus.rank
@@ -334,7 +304,7 @@ def vertex_invariants(v: VertexData) -> tuple[int, int, int, int, int, int]:
         if sig != (g.rank - 1, 1):
             raise ValueError(f"{v.id}: signature({name}) = {sig}, "
                              f"expected ({g.rank - 1}, 1)")
-    d_plus, d_minus = _two_rank(g_plus), _two_rank(g_minus)
+    d_plus, d_minus = g_plus.two_rank, g_minus.two_rank
     if d_plus != d_minus:
         raise ValueError(f"{v.id}: two-ranks differ: {d_plus} != {d_minus}")
     d = d_minus

@@ -22,9 +22,10 @@ EXIT_UNSUPPORTED = 3
 
 # largest rank the lattice commands accept, checked before the rank^2 Gram
 # matrix is built. Signature and det come from the atom catalogue: as fresh
-# processes `lattice info A256` takes about 0.17 s and `lattice roots A256
-# --norm 1` 0.08 s; the slowest is `info`'s Smith form with 256 generators,
-# "256*<3>" or "128*U(2)", about 0.8 s (2 vCPU, Python 3.11)
+# processes `lattice info A256` takes about 0.11 s and `lattice roots A256
+# --norm 1` 0.08 s; the slowest is `info`'s Smith form with 256 generators:
+# "256*<3>", "128*U(2)" and "A255(3)" take about 0.5 s and "32*E8(2)" about
+# 0.55 s (medians of 7 runs, 2 vCPU, Python 3.11)
 MAX_RANK = 256
 
 # largest determinant the lattice commands accept, as a bound on its bit
@@ -32,7 +33,8 @@ MAX_RANK = 256
 # the Gram matrix is built: past about 14 000 bits the determinant has too
 # many digits to print, and the Smith form slows with the size of the
 # entries. At the cap "A120(131071)" (2047 bits) takes about 0.13 s as a
-# fresh process, "A204(1023)" (2048 bits) about 0.4 s (2 vCPU, Python 3.11)
+# fresh process, "A204(1023)" (2048 bits) 0.31-0.37 s (medians of 7 runs,
+# 2 vCPU, Python 3.11)
 MAX_DET_BITS = 2048
 
 # most coordinates `lattice roots` may reach, counted before the search as

@@ -10,7 +10,9 @@ closed forms in one catalogue (``_ATOMS``). A Gram matrix is held as its
 orthogonal components: the atom copies of an expression, whose inertia and
 det add up from the catalogue, or the connected blocks of a matrix given as
 rows, each eliminated once (fraction-free, Bareiss) for both. One memoized
-Smith form per distinct component gives its discriminant form's 2-part.
+Smith form per distinct component gives its discriminant form's 2-part; a
+Gram matrix keeps its F2 two-rank, one elimination mod 2 per distinct
+block. An expression hashes once, at construction.
 """
 
 from __future__ import annotations
@@ -123,7 +125,22 @@ class Term:
 
 @dataclass(frozen=True)
 class LatticeExpr:
+    """A sum of terms. Its hash is computed once, at construction, so every
+    memo keyed by an expression (``gram``, the cusp verdicts) reads it in
+    constant time; equality still compares the terms."""
+
     terms: tuple[Term, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.terms))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from the terms, so that an unpickled expression hashes as
+        # its process hashes strings
+        return LatticeExpr, (self.terms,)
 
     @property
     def rank(self) -> int:
@@ -272,6 +289,16 @@ class GramMatrix:
             return self.atom_inertia
         parts = [_block_inertia(b) for b in self.component_blocks]
         return sum(n for n, _ in parts), math.prod(d for _, d in parts)
+
+    @cached_property
+    def two_rank(self) -> int:
+        """n - rank(G mod 2): for a nondegenerate G the number of even Smith
+        factors, dim A/2A of the discriminant group A. Summed over the
+        components, each distinct block eliminated over F2 once
+        (``_block_corank_f2``); it shares no arithmetic with the Smith forms
+        of ``two_part``. On a degenerate G a zero factor is even but counts
+        in no A, so rule that out first (as ``signature`` does)."""
+        return sum(_block_corank_f2(b) for b in self.component_blocks)
 
     @cached_property
     def _sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -450,6 +477,22 @@ def _block_inertia(block: tuple[Vector, ...]) -> tuple[int, int]:
         return 0, 0
     neg = sum((p > 0) != (d > 0) for p, d in zip((1, *minors), minors))
     return neg, minors[-1]
+
+
+@lru_cache(maxsize=None)
+def _block_corank_f2(block: tuple[Vector, ...]) -> int:
+    """n - rank(B mod 2) of one component block B, by elimination over F2
+    with rows as bitmasks."""
+    pivots: dict[int, int] = {}  # lowest set bit -> reduced row
+    for r in block:
+        x = sum(1 << j for j, e in enumerate(r) if e % 2)
+        while x:
+            low = x & -x
+            if low not in pivots:
+                pivots[low] = x
+                break
+            x ^= pivots[low]
+    return len(block) - len(pivots)
 
 
 def signature(g: GramMatrix) -> tuple[int, int]:

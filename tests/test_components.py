@@ -15,7 +15,6 @@ ones a scan of the same rows finds.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from realcubic.atlas import _two_rank
 from realcubic.intmat import det
 from realcubic.lattices import (
     discriminant_form,
@@ -101,7 +100,7 @@ def test_component_invariants_match_the_whole_matrix():
         form = discriminant_form(g)
         assert signature(g) == oracle_signature(g)
         assert g.det() == det(rows)
-        assert d == _two_rank(g) == discriminant_group(g).two_rank
+        assert d == g.two_rank == discriminant_group(g).two_rank
         assert type_one == form.two_part_integer
         v, w = data.draw(vectors(g.rank)), data.draw(vectors(g.rank))
         assert g.apply(v) == oracle_apply(g, v)

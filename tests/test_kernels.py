@@ -6,19 +6,25 @@ unit pivot and ran column operations over every row; and the dense
 ``GramMatrix.inner`` and ``apply``, which multiplied all n^2 entries. The
 library picks the same pivots with less work, so it must return the same
 (factors, U, V), and sums only over nonzero coordinates. The F2 two-rank of
-``vertex_invariants`` is checked against ``discriminant_group``, which reads
-it off the Smith factors. A work-count guard pins the number of Smith normal
-forms the atlas build and its check make: one per distinct orthogonal
-component, since the 2-part of each block's discriminant form is memoized
-by its entries.
+``vertex_invariants`` (``GramMatrix.two_rank``) is checked against
+``discriminant_group``, which reads it off the Smith factors; each Gram
+matrix keeps it, and an expression its hash, so that a memo read does no
+arithmetic. A work-count guard pins the number of Smith normal forms the
+atlas build and its check make: one per distinct orthogonal component,
+since the 2-part of each block's discriminant form is memoized by its
+entries.
 A second guard records which transforms each caller asks the Smith normal
 form for, so that no caller builds a U or V it does not read. The oracle
 of ``surgery.slide`` is the former dense congruence E^T M E.
 """
 
 import importlib
+import os
+import pickle
 import pkgutil
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -26,7 +32,7 @@ import realcubic.atlas
 import realcubic.intmat
 import realcubic.lattices
 import realcubic.walls
-from realcubic.atlas import _two_rank, build_atlas, validate_atlas
+from realcubic.atlas import build_atlas, validate_atlas, vertex_invariants
 from realcubic.cli import main
 from realcubic.intmat import (
     AbelianGroup,
@@ -40,6 +46,8 @@ from realcubic.lattices import (
     DegenerateLatticeError,
     GramMatrix,
     LatticeError,
+    LatticeExpr,
+    Term,
     discriminant_group,
     gram,
     gram_from_rows,
@@ -203,7 +211,7 @@ def test_snf_examples_match_oracle():
 
 def test_two_rank_matches_discriminant_group_on_the_eigenlattices(k4):
     for g in eigenlattice_grams(k4):
-        assert _two_rank(g) == discriminant_group(g).two_rank
+        assert g.two_rank == discriminant_group(g).two_rank
 
 
 def test_two_rank_matches_discriminant_group_on_random_forms():
@@ -215,10 +223,54 @@ def test_two_rank_matches_discriminant_group_on_random_forms():
         if g.det() == 0:
             continue
         tried += 1
-        d = _two_rank(g)
+        d = g.two_rank
         assert d == discriminant_group(g).two_rank
         seen.add(d)
     assert len(seen) >= 4  # the comparison is not all zeros
+
+
+def test_an_expression_hashes_its_terms_once(monkeypatch):
+    # built before the patch, then read by the memos of gram and the cusp
+    # verdicts without hashing a term again: a No, a Yes and an Unknown
+    exprs = [parse_lattice_expr(t) for t in (
+        "U(2)+E8(2)", "U+7*A1+A2+D4+<6>", "<-2>+5*A1+A2+E8(2)")]
+    hashes = [hash(LatticeExpr(e.terms)) for e in exprs]
+
+    def refuse(term):
+        raise AssertionError(f"hashed the term {term}")
+
+    monkeypatch.setattr(Term, "__hash__", refuse)
+    for e, h in zip(exprs, hashes):
+        assert hash(e) == h
+        assert gram(e).rank == e.rank and gram(e) is gram(e)
+        assert realcubic.walls._verdict(e) is realcubic.walls._verdict(e)
+    assert [realcubic.walls._verdict(e).kind for e in exprs] == [
+        "No", "Yes", "Unknown"]
+
+
+def test_an_unpickled_expression_hashes_as_its_process_does():
+    # the kept hash is rebuilt, not copied: string hashes differ between
+    # processes, so a copied one would miss every memo
+    code = ("import pickle, sys; from realcubic.lattices import "
+            "parse_lattice_expr as p; sys.stdout.buffer.write("
+            "pickle.dumps(p('U(2)+A2+E8(2)')))")
+    src = os.path.dirname(os.path.dirname(realcubic.__file__))
+    env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=src)
+    data = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, check=True).stdout
+    e = pickle.loads(data)
+    assert e == parse_lattice_expr("U(2)+A2+E8(2)")
+    assert hash(e) == hash(LatticeExpr(e.terms))
+
+
+def test_a_second_vertex_check_reads_the_kept_two_ranks(k4, monkeypatch):
+    first = [vertex_invariants(v) for v in k4.vertices.values()]
+
+    def refuse(block):
+        raise AssertionError("eliminated a block over F2 again")
+
+    monkeypatch.setattr(realcubic.lattices, "_block_corank_f2", refuse)
+    assert [vertex_invariants(v) for v in k4.vertices.values()] == first
 
 
 def test_sparse_inner_and_apply_match_dense_formulas(k4):
@@ -260,9 +312,9 @@ MEMOS = (
     realcubic.lattices._atom_block,
     realcubic.lattices.gram,
     realcubic.lattices._block_two_part,
+    realcubic.lattices._block_corank_f2,
     realcubic.atlas._table_term,
     build_atlas,
-    realcubic.atlas._block_corank_f2,
     realcubic.walls._verdict,
 )
 
@@ -422,7 +474,8 @@ def test_a_cold_build_never_scans_for_components(monkeypatch):
     # every table lattice is an expression, and gram lays out its
     # components atom by atom; only a matrix given as rows is scanned.
     # Nor do the build, its check and the cusp verdicts read a dense
-    # Gram matrix.
+    # Gram matrix, and the build computes no F2 two-rank: only the check
+    # reads one.
     scans = []
     components = realcubic.lattices._components
 
@@ -434,6 +487,7 @@ def test_a_cold_build_never_scans_for_components(monkeypatch):
                         counting_components)
     clear_memos()
     atlas = fresh_k4()
+    assert realcubic.lattices._block_corank_f2.cache_info().misses == 0
     validate_atlas(atlas)
     for e in atlas.edges:
         cusp_stratum((atlas.vertex(e.source), atlas.vertex(e.target)))
