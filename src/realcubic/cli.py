@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 verification/computation failure or a stdout
 closed early, 2 usage error, 3 unsupported request. Runs are
-bit-reproducible.
+bit-reproducible. Each subcommand's parser names its handler (``run``); a
+handler fails by raising ``_Failure``, whose one line ``main`` prints to
+stderr.
 """
 
 from __future__ import annotations
@@ -52,14 +54,25 @@ MAX_LINK_SIZE = 40
 MAX_LINK_ENTRY = 10 ** 6
 
 
-def _cmd_atlas(args) -> int:
-    if args.atlas_cmd == "build":
-        a = atlas_mod.build_atlas(args.graph.upper())
-        if args.format == "json":
-            print(atlas_mod.atlas_to_json(a))
-        else:
-            print(atlas_mod.atlas_to_dot(a), end="")
-        return EXIT_OK
+class _Failure(Exception):
+    """A failed command: ``main`` prints the message as the one stderr line
+    and returns ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _atlas_build(args) -> int:
+    a = atlas_mod.build_atlas(args.graph.upper())
+    if args.format == "json":
+        print(atlas_mod.atlas_to_json(a))
+    else:
+        print(atlas_mod.atlas_to_dot(a), end="")
+    return EXIT_OK
+
+
+def _atlas_verify(args) -> int:
     checks = topology.verify(atlas_mod.build_atlas("K4"))
     report = [c.to_dict() for c in checks]
     failures = [c for c in report if c["status"] == "fail"]
@@ -67,82 +80,80 @@ def _cmd_atlas(args) -> int:
     return EXIT_OK if not failures else EXIT_FAIL
 
 
-def _cmd_lattice(args) -> int:
+def _lattice_expr(text: str) -> lattices.LatticeExpr:
+    """``text`` parsed, within the rank and determinant caps."""
     try:
-        return _lattice_query(args)
+        expr = lattices.parse_lattice_expr(text)
     except lattices.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-    except lattices.LatticeError as exc:
-        print(f"lattice error: {exc}", file=sys.stderr)
-    return EXIT_USAGE
-
-
-def _lattice_query(args) -> int:
-    expr = lattices.parse_lattice_expr(args.expr)
+        raise _Failure(EXIT_USAGE, f"parse error: {exc}")
     if expr.rank > MAX_RANK:
-        print(f"unsupported: rank {expr.rank} exceeds {MAX_RANK}",
-              file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise _Failure(EXIT_UNSUPPORTED,
+                       f"unsupported: rank {expr.rank} exceeds {MAX_RANK}")
     # |det| of an atom scaled by s is s^rank times its unscaled |det|
     det_bits = sum(t.mult * (t.atom_rank * t.scale.bit_length()
                              + t.facts.det.bit_length())
                    for t in expr.terms)
     if det_bits > MAX_DET_BITS:
-        print(f"unsupported: determinant of up to {det_bits} bits exceeds "
-              f"{MAX_DET_BITS} bits", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise _Failure(EXIT_UNSUPPORTED, f"unsupported: determinant of up to "
+                       f"{det_bits} bits exceeds {MAX_DET_BITS} bits")
+    return expr
+
+
+def _lattice_info(args) -> int:
+    expr = _lattice_expr(args.expr)
     g = lattices.gram(expr)
-    if args.lattice_cmd == "info":
-        df = lattices.discriminant_form(g)
-        print(f"expression: {expr}")
-        print(f"rank: {g.rank}")
-        print(f"signature: {lattices.signature(g)}")
-        print(f"determinant: {g.det()}")
-        print(f"discriminant group: {df.group}")
-        print(f"two-rank: {df.group.two_rank}")
-        qs = ", ".join(f"{n}/{d}" if d != 1 else str(n)
-                       for n, d in df.q_values)
-        print(f"q on generators (mod 2): [{qs}]")
-        print(f"two-part integer: {'yes' if df.two_part_integer else 'no'}")
-        return EXIT_OK
+    df = lattices.discriminant_form(g)
+    print(f"expression: {expr}")
+    print(f"rank: {g.rank}")
+    print(f"signature: {lattices.signature(g)}")
+    print(f"determinant: {g.det()}")
+    print(f"discriminant group: {df.group}")
+    print(f"two-rank: {df.group.two_rank}")
+    qs = ", ".join(f"{n}/{d}" if d != 1 else str(n)
+                   for n, d in df.q_values)
+    print(f"q on generators (mod 2): [{qs}]")
+    print(f"two-part integer: {'yes' if df.two_part_integer else 'no'}")
+    return EXIT_OK
+
+
+def _lattice_roots(args) -> int:
+    expr = _lattice_expr(args.expr)
+    g = lattices.gram(expr)
     limit = MAX_ROOT_COORDS // expr.rank
     try:
         count = lattices.count_short_vectors(expr, args.norm, limit)
-        if count is None:
-            print(f"unsupported: more than {limit} vectors of norm 1 to "
-                  f"{args.norm} in rank {expr.rank} (at most "
-                  f"{MAX_ROOT_COORDS} coordinates)", file=sys.stderr)
-            return EXIT_UNSUPPORTED
         # no vector of square 1 to --norm: the search would find none
         roots = lattices.enumerate_norm_vectors(g, args.norm) if count else []
     except lattices.IndefiniteLatticeError as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise _Failure(EXIT_UNSUPPORTED, f"unsupported: {exc}")
+    except lattices.LatticeError as exc:
+        raise _Failure(EXIT_USAGE, f"lattice error: {exc}")
+    if count is None:
+        raise _Failure(EXIT_UNSUPPORTED, f"unsupported: more than {limit} "
+                       f"vectors of norm 1 to {args.norm} in rank {expr.rank} "
+                       f"(at most {MAX_ROOT_COORDS} coordinates)")
     print(json.dumps({"expression": str(expr), "norm": args.norm,
                       "count": len(roots),
                       "vectors": [list(v) for v in roots]}))
     return EXIT_OK
 
 
-def _cmd_cusp(args) -> int:
+def _cusp_check(args) -> int:
     try:
         s_txt, t_txt = args.edge.split(":")
         sid = atlas_mod.VertexId.parse(s_txt)
         tid = atlas_mod.VertexId.parse(t_txt)
     except ValueError as exc:
-        print(f"bad --edge: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure(EXIT_USAGE, f"bad --edge: {exc}")
     try:
         ends = {vid: atlas_mod.table_vertex(vid) for vid in (sid, tid)}
     except KeyError:
-        print("edge endpoints must be atlas vertices", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure(EXIT_USAGE, "edge endpoints must be atlas vertices")
     # the table edge, in either order, gives the orientation
     edge = next((e for e in atlas_mod.table_edges()
                  if {e.source, e.target} == {sid, tid}), None)
     if edge is None:
-        print(f"{sid}:{tid} is not an atlas edge", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure(EXIT_USAGE, f"{sid}:{tid} is not an atlas edge")
     verdict = walls.cusp_stratum((ends[edge.source], ends[edge.target]))
     out = verdict.to_dict()
     out["edge"] = f"{edge.source}:{edge.target}"
@@ -150,9 +161,12 @@ def _cmd_cusp(args) -> int:
     return EXIT_OK
 
 
-def _table_rows():
-    a = atlas_mod.build_atlas("K4")
-    res = topology.propagate(a)
+def _topology_table(args) -> int:
+    try:
+        a = atlas_mod.build_atlas("K4")
+        res = topology.propagate(a)
+    except ValueError as exc:
+        raise _Failure(EXIT_FAIL, f"propagation failed: {exc}")
     rows = []
     for vid in sorted(a.vertices):
         v = a.vertex(vid)
@@ -164,15 +178,6 @@ def _table_rows():
             "b_star": asg.descriptor.b_star, "chi": asg.descriptor.chi,
             "justification": list(asg.justification),
         })
-    return rows
-
-
-def _cmd_topology(args) -> int:
-    try:
-        rows = _table_rows()
-    except ValueError as exc:
-        print(f"propagation failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     if args.format == "json":
         print(json.dumps(rows, indent=2))
         return EXIT_OK
@@ -185,7 +190,7 @@ def _cmd_topology(args) -> int:
     return EXIT_OK
 
 
-def _cmd_ramified(args) -> int:
+def _ramified_euler(args) -> int:
     chi = ramified.euler_perturbation(
         ramified.PerturbationData(args.chiP, args.chiPplus, args.chiL))
     out = {"chi": chi}
@@ -194,8 +199,7 @@ def _cmd_ramified(args) -> int:
     try:
         print(json.dumps(out))
     except ValueError as exc:  # past the interpreter's int-to-str limit
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise _Failure(EXIT_UNSUPPORTED, f"unsupported: {exc}")
     return EXIT_OK
 
 
@@ -210,44 +214,31 @@ def _check_int_matrix(m) -> None:
         raise ValueError("matrix entries must be integers")
 
 
-def _cmd_surgery(args) -> int:
-    if args.surgery_cmd == "h1":
-        try:
-            m = json.loads(args.matrix)
-            _check_int_matrix(m)
-            if len(m) > MAX_LINK_SIZE:
-                print(f"unsupported: {len(m)}x{len(m)} matrix exceeds "
-                      f"{MAX_LINK_SIZE}x{MAX_LINK_SIZE}", file=sys.stderr)
-                return EXIT_UNSUPPORTED
-            top = max(abs(x) for row in m for x in row)
-            if top > MAX_LINK_ENTRY:
-                print(f"unsupported: entry of absolute value {top} exceeds "
-                      f"{MAX_LINK_ENTRY}", file=sys.stderr)
-                return EXIT_UNSUPPORTED
-            group = surgery_mod.h1_from_linking(m)
-        except (ValueError, TypeError, RecursionError) as exc:
-            print(f"bad --matrix: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        print(f"H1 = {group}")
-        return EXIT_OK
-    return _print_spiral()
-
-
-def _print_spiral() -> int:
+def _surgery_h1(args) -> int:
     try:
-        rep = surgery_mod.spiral_scenario()
-    except AssertionError as exc:
-        print(f"scenario check failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    print("\n".join(rep.lines()))
+        m = json.loads(args.matrix)
+        _check_int_matrix(m)
+        if len(m) > MAX_LINK_SIZE:
+            raise _Failure(EXIT_UNSUPPORTED, f"unsupported: {len(m)}x{len(m)} "
+                           f"matrix exceeds {MAX_LINK_SIZE}x{MAX_LINK_SIZE}")
+        top = max(abs(x) for row in m for x in row)
+        if top > MAX_LINK_ENTRY:
+            raise _Failure(EXIT_UNSUPPORTED, f"unsupported: entry of absolute "
+                           f"value {top} exceeds {MAX_LINK_ENTRY}")
+        group = surgery_mod.h1_from_linking(m)
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise _Failure(EXIT_USAGE, f"bad --matrix: {exc}")
+    print(f"H1 = {group}")
     return EXIT_OK
 
 
-def _cmd_report(args) -> int:
-    if args.report_cmd == "main-theorem":
-        saved = argparse.Namespace(format="md")
-        return _cmd_topology(saved)
-    return _print_spiral()
+def _spiral(args) -> int:
+    try:
+        rep = surgery_mod.spiral_scenario()
+    except AssertionError as exc:
+        raise _Failure(EXIT_FAIL, f"scenario check failed: {exc}")
+    print("\n".join(rep.lines()))
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,26 +253,31 @@ def build_parser() -> argparse.ArgumentParser:
     pb = suba.add_parser("build")
     pb.add_argument("--graph", choices=["k4", "k3"], default="k4")
     pb.add_argument("--format", choices=["json", "dot"], default="json")
-    suba.add_parser("verify")
+    pb.set_defaults(run=_atlas_build)
+    suba.add_parser("verify").set_defaults(run=_atlas_verify)
 
     pl = sub.add_parser("lattice", help="lattice queries")
     subl = pl.add_subparsers(dest="lattice_cmd", required=True)
     pi = subl.add_parser("info")
     pi.add_argument("expr")
+    pi.set_defaults(run=_lattice_info)
     pr = subl.add_parser("roots")
     pr.add_argument("expr")
     pr.add_argument("--norm", type=int, default=2)
+    pr.set_defaults(run=_lattice_roots)
 
     pc = sub.add_parser("cusp", help="cuspidal stratum checks")
     subc = pc.add_subparsers(dest="cusp_cmd", required=True)
     pck = subc.add_parser("check")
     pck.add_argument("--edge", required=True,
                      help="edge as C{i},{j}[_I]:C{i'},{j'}[_I]")
+    pck.set_defaults(run=_cusp_check)
 
     pt = sub.add_parser("topology", help="real-locus table")
     subt = pt.add_subparsers(dest="topology_cmd", required=True)
     ptt = subt.add_parser("table")
     ptt.add_argument("--format", choices=["md", "json"], default="md")
+    ptt.set_defaults(run=_topology_table)
 
     pm = sub.add_parser("ramified", help="perturbation arithmetic")
     subm = pm.add_subparsers(dest="ramified_cmd", required=True)
@@ -289,36 +285,32 @@ def build_parser() -> argparse.ArgumentParser:
     pme.add_argument("--chiP", type=int, required=True)
     pme.add_argument("--chiPplus", type=int, required=True)
     pme.add_argument("--chiL", type=int, required=True)
+    pme.set_defaults(run=_ramified_euler)
 
     ps = sub.add_parser("surgery", help="framed-link homology")
     subs = ps.add_subparsers(dest="surgery_cmd", required=True)
     ph = subs.add_parser("h1")
     ph.add_argument("--matrix", required=True, help="JSON integer matrix")
-    subs.add_parser("spiral")
+    ph.set_defaults(run=_surgery_h1)
+    subs.add_parser("spiral").set_defaults(run=_spiral)
 
     pp = sub.add_parser("report", help="full derivation reports")
     subp = pp.add_subparsers(dest="report_cmd", required=True)
-    subp.add_parser("main-theorem")
-    subp.add_parser("spiral")
+    # `topology table --format md`
+    subp.add_parser("main-theorem").set_defaults(run=_topology_table,
+                                                 format="md")
+    subp.add_parser("spiral").set_defaults(run=_spiral)
     return p
-
-
-_DISPATCH = {
-    "atlas": _cmd_atlas,
-    "lattice": _cmd_lattice,
-    "cusp": _cmd_cusp,
-    "topology": _cmd_topology,
-    "ramified": _cmd_ramified,
-    "surgery": _cmd_surgery,
-    "report": _cmd_report,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = _DISPATCH[args.cmd](args)
+        code = args.run(args)
         sys.stdout.flush()
+    except _Failure as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
     except BrokenPipeError:
         # the reader closed stdout early: point it at devnull so the flush
         # at exit cannot fail again, and exit 1 without a traceback (see

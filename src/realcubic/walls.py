@@ -88,7 +88,12 @@ def find_a2_pair(expr: LatticeExpr) -> Optional[A2Certificate]:
     Only named constructions from unscaled summands are tried: adjacent
     simple roots of the first A/D/E summand of rank >= 2, else e - u1 and
     u1 + u2 from a <2> summand and a U. None means neither summand exists,
-    not that no pair does.
+    not that no pair does. Each construction is an A2 pair by algebra, so
+    none is checked here: the simple roots e_i, -m_ij e_j of an unscaled
+    A/D/E block (diagonal 2, |m_ij| = 1) have squares 2, 2 and pairing
+    -m_ij^2 = -1, and e - u1, u1 + u2 (e^2 = 2, u1^2 = u2^2 = 0,
+    u1.u2 = 1) have squares 2, 2 and pairing -1. The verdict checks the
+    certificate it returns (``_verdict``).
     """
     g = gram(expr)
     rank = g.rank
@@ -98,13 +103,10 @@ def find_a2_pair(expr: LatticeExpr) -> Optional[A2Certificate]:
         if b.scale == 1 and b.size >= 2 and b.label[0] in "ADE":
             for i in range(b.size):
                 for j in range(i + 1, b.size):
-                    if abs(m[i][j]) != 1:
-                        continue
-                    v1 = _unit(rank, b.start + i)
-                    v2 = _unit(rank, b.start + j, -m[i][j])
-                    cert = A2Certificate(v1, v2, f"root summand {b.label}")
-                    if cert.verify(g):
-                        return cert
+                    if abs(m[i][j]) == 1:
+                        v1 = _unit(rank, b.start + i)
+                        v2 = _unit(rank, b.start + j, -m[i][j])
+                        return A2Certificate(v1, v2, f"root summand {b.label}")
     # <2> + U: v1 = e - u1, v2 = u1 + u2
     e_block = next((b for b, m in zip(g.blocks, g.component_blocks)
                     if b.scale == 1 and b.size == 1 and m == ((2,),)), None)
@@ -113,9 +115,7 @@ def find_a2_pair(expr: LatticeExpr) -> Optional[A2Certificate]:
         u1, u2 = u
         v1 = _add(_unit(rank, e_block.start), _unit(rank, u1), -1)
         v2 = _add(_unit(rank, u1), _unit(rank, u2))
-        cert = A2Certificate(v1, v2, "<2> + U")
-        if cert.verify(g):
-            return cert
+        return A2Certificate(v1, v2, "<2> + U")
     return None
 
 

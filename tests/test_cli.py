@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -187,6 +188,7 @@ def test_report_spiral_matches_surgery(capsys):
     code, out, _ = run(capsys, "report", "spiral")
     assert code == 0
     assert "two routes agree" in out
+    assert run(capsys, "surgery", "spiral") == (0, out, "")
 
 
 def test_report_main_theorem(capsys):
@@ -196,6 +198,7 @@ def test_report_main_theorem(capsys):
     assert len(rows) == 75
     row = next(l for l in rows if l.startswith("| C5,4_I "))
     assert "RP4 # 5(S2xS2) # 4(S1xS3)" in row
+    assert run(capsys, "topology", "table", "--format", "md") == (0, out, "")
 
 
 def test_determinism(capsys):
@@ -524,3 +527,46 @@ def test_overlong_integers_are_parse_errors(capsys, text):
     code, out, err = run(capsys, "lattice", "info", text.format("9" * 4400))
     assert code == 2 and out == ""
     assert err.startswith("parse error: integer has too many digits")
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["lattice", "info", "A1+"], 2,
+     "parse error: expected a lattice term (at position 3)"),
+    (["lattice", "roots", "E8", "--norm", "0"], 2,
+     "lattice error: norm must be positive"),
+    (["cusp", "check", "--edge", "C5,3"], 2,
+     "bad --edge: not enough values to unpack (expected 2, got 1)"),
+    (["cusp", "check", "--edge", "C99,0:C5,4"], 2,
+     "edge endpoints must be atlas vertices"),
+    (["cusp", "check", "--edge", "C1,0_I:C2,0"], 2,
+     "C1,0_I:C2,0 is not an atlas edge"),
+    (["surgery", "h1", "--matrix", "[[1,2]]"], 2,
+     "bad --matrix: matrix must be square"),
+    (["lattice", "info", "257*A1"], 3, "unsupported: rank 257 exceeds 256"),
+    (["lattice", "info", "A204(1024)"], 3,
+     "unsupported: determinant of up to 2252 bits exceeds 2048 bits"),
+    (["lattice", "roots", "32*E8", "--norm", "4"], 3,
+     "unsupported: more than 7812 vectors of norm 1 to 4 in rank 256 "
+     "(at most 2000000 coordinates)"),
+    (["lattice", "roots", "U", "--norm", "2"], 3,
+     "unsupported: short-vector enumeration requires a positive definite "
+     "lattice"),
+    (["surgery", "h1", "--matrix", json.dumps([[0] * 41] * 41)], 3,
+     "unsupported: 41x41 matrix exceeds 40x40"),
+    (["surgery", "h1", "--matrix", "[[1000001]]"], 3,
+     "unsupported: entry of absolute value 1000001 exceeds 1000000"),
+], ids=["info-parse", "roots-norm", "edge-split", "edge-vertex",
+        "edge-table", "h1-square", "info-rank", "info-det", "roots-count",
+        "roots-indefinite", "h1-size", "h1-entry"])
+def test_failure_is_one_stderr_line(capsys, argv, code, line):
+    assert run(capsys, *argv) == (code, "", line + "\n")
+
+
+def test_only_main_writes_to_stderr():
+    # a handler fails by raising; main prints the one stderr line
+    tree = ast.parse(Path(realcubic.cli.__file__).read_text())
+    writers = {getattr(node, "name", "<module>") for node in tree.body
+               for sub in ast.walk(node)
+               if isinstance(sub, ast.Attribute) and sub.attr == "stderr"
+               and isinstance(sub.value, ast.Name) and sub.value.id == "sys"}
+    assert writers == {"main"}

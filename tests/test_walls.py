@@ -355,3 +355,29 @@ def test_cusp_stratum_rejects_a_forged_certificate(k4, monkeypatch, forge):
     _verdict.cache_clear()
     with pytest.raises(AssertionError, match="fails its check"):
         cusp_stratum(ends)
+
+
+def test_find_a2_pair_checks_no_pairing(k4, monkeypatch):
+    # both constructions are A2 pairs by algebra: the search computes no
+    # inner product, and every pair it returns still verifies
+    hosts = [_host(k4, e) for e in k4.edges]
+    assert len(set(hosts)) == 117
+    want = [find_a2_pair(expr) for expr in hosts]
+
+    def fail(self, v, w):
+        raise AssertionError("find_a2_pair computed an inner product")
+
+    monkeypatch.setattr(GramMatrix, "inner", fail)
+    assert [find_a2_pair(expr) for expr in hosts] == want
+    monkeypatch.undo()
+    assert sum(c is not None for c in want) == 115
+    assert all(c is None or c.verify(gram(expr))
+               for c, expr in zip(want, hosts))
+
+
+def test_verdict_checks_the_certificate(k4, monkeypatch):
+    # _verdict's check is the one check of a certificate
+    monkeypatch.setattr(A2Certificate, "verify", lambda self, g: False)
+    _verdict.cache_clear()
+    with pytest.raises(AssertionError, match="fails its check"):
+        cusp_stratum((k4.vertex(VertexId(0, 0)), k4.vertex(VertexId(0, 1))))
