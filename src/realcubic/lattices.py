@@ -7,9 +7,10 @@ cokernel of G, an ``intmat.AbelianGroup``) and finite quadratic forms,
 short-vector enumeration in definite lattices with exact integer bounds,
 and 6-roots. Each atom's rank, det, inertia, roots and least square are
 closed forms in one catalogue (``_ATOMS``). A Gram matrix is held as its
-orthogonal components: the atom copies of an expression, whose inertia and
-det add up from the catalogue, or the connected blocks of a matrix given as
-rows, each eliminated once (fraction-free, Bareiss) for both. One memoized
+orthogonal components and nothing else: the atom copies of an expression,
+each named by its atom and whose inertia and det add up from the
+catalogue, or the connected blocks of a matrix given as rows, each
+eliminated once (fraction-free, Bareiss) for both. One memoized
 Smith form per distinct component gives its discriminant form's 2-part; a
 Gram matrix keeps its F2 two-rank, one elimination mod 2 per distinct
 block. An expression hashes once, at construction.
@@ -249,15 +250,6 @@ def _atom_gram(term: Term) -> list[list[int]]:
     return g
 
 
-class Block(NamedTuple):
-    """Location of one atom copy inside a block-diagonal Gram matrix."""
-
-    label: str
-    start: int
-    size: int
-    scale: int
-
-
 @dataclass(frozen=True)
 class GramMatrix:
     """A symmetric integer matrix G, held as its orthogonal components.
@@ -265,16 +257,17 @@ class GramMatrix:
     ``components`` are the index sets of the orthogonal summands, each
     ascending and in the order of their least index, and
     ``component_blocks`` the principal submatrix of G on each, as tuples of
-    rows; every other entry of G is 0. A block is hashable and its key is
-    its content, so the per-block memos below share one result among equal
-    blocks of any lattice. An expression also names its atom copies, one
-    per component (``blocks``), and its catalogue (neg, det). The rows of
-    G, sparse or dense (``entries``), are derived on first read.
+    rows; every other entry of G is 0, and every read of G (``apply``,
+    ``inner``, ``entries``) goes block by block. A block is hashable and its
+    key is its content, so the per-block memos below share one result among
+    equal blocks of any lattice. An expression also names the atom of each
+    component, as a ``Term`` of multiplicity 1 (``atoms``), and its
+    catalogue (neg, det).
     """
 
     components: tuple[tuple[int, ...], ...]
     component_blocks: tuple[tuple[Vector, ...], ...]
-    blocks: tuple[Block, ...] = ()
+    atoms: tuple[Term, ...] = ()
     atom_inertia: tuple[int, int] | None = None
 
     @cached_property
@@ -301,25 +294,15 @@ class GramMatrix:
         return sum(_block_corank_f2(b) for b in self.component_blocks)
 
     @cached_property
-    def _sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The nonzero (j, G_ij) of each row i of G, read off its block."""
-        rows: list[tuple[tuple[int, int], ...]] = [()] * self.rank
-        for c, b in zip(self.components, self.component_blocks):
-            for i, r in zip(c, b):
-                rows[i] = tuple((j, x) for j, x in zip(c, r) if x)
-        return tuple(rows)
-
-    @cached_property
     def entries(self) -> tuple[Vector, ...]:
         """The dense rows of G, for the whole-matrix Smith form and the
         short-vector walk."""
-        n, out = self.rank, []
-        for sparse in self._sparse_rows:
-            row = [0] * n
-            for j, x in sparse:
-                row[j] = x
-            out.append(tuple(row))
-        return tuple(out)
+        out = [[0] * self.rank for _ in range(self.rank)]
+        for c, b in zip(self.components, self.component_blocks):
+            for i, r in zip(c, b):
+                for j, x in zip(c, r):
+                    out[i][j] = x
+        return tuple(map(tuple, out))
 
     def rows(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
@@ -329,23 +312,24 @@ class GramMatrix:
 
     def apply(self, v: Vector) -> Vector:
         """G.v as the sum of x_j times column j over the nonzero x_j of v;
-        G is symmetric, so column j is the sparse row j."""
+        G is symmetric, so column j is row j of j's block."""
         _check_dim(self, v)
         out = [0] * self.rank
-        rows = self._sparse_rows
-        for j, x in enumerate(v):
-            if x:
-                for i, e in rows[j]:
-                    out[i] += e * x
+        for c, b in zip(self.components, self.component_blocks):
+            for j, r in zip(c, b):
+                if x := v[j]:
+                    for i, e in zip(c, r):
+                        out[i] += e * x
         return tuple(out)
 
     def inner(self, v: Vector, w: Vector) -> int:
-        """v.G.w, summed over the nonzero v_i and the nonzero G_ij only."""
+        """v.G.w, summed over the nonzero v_i, each against row i of its
+        block."""
         _check_dim(self, v)
         _check_dim(self, w)
-        rows = self._sparse_rows
-        return sum(x * sum(e * w[j] for j, e in rows[i])
-                   for i, x in enumerate(v) if x)
+        return sum(x * sum(e * w[j] for j, e in zip(c, r))
+                   for c, b in zip(self.components, self.component_blocks)
+                   for i, r in zip(c, b) if (x := v[i]))
 
     def norm(self, v: Vector) -> int:
         return self.inner(v, v)
@@ -358,17 +342,19 @@ def _check_dim(g: GramMatrix, v: Vector) -> None:
 
 @lru_cache(maxsize=None)
 def _atom_block(kind: str, n: int, scale: int) -> tuple:
-    """(rows, neg, det) of one atom copy, rescaled: its Gram matrix, and its
-    negative index and determinant from the catalogue; built once per
-    (kind, n, scale) and shared by every expression that holds the atom."""
-    facts, rows = _ATOMS[kind](n), _atom_gram(Term(1, kind, n))
+    """(rows, neg, det, atom) of one atom copy, rescaled: its Gram matrix,
+    its negative index and determinant from the catalogue, and the atom as a
+    ``Term`` of multiplicity 1; built once per (kind, n, scale) and shared
+    by every expression that holds the atom."""
+    atom = Term(1, kind, n, scale)
+    facts, rows = atom.facts, _atom_gram(atom)
     return (tuple(tuple(x * scale for x in r) for r in rows), facts.neg,
-            scale ** facts.rank * facts.det)
+            scale ** facts.rank * facts.det, atom)
 
 
 @lru_cache(maxsize=None)
 def gram(expr: LatticeExpr) -> GramMatrix:
-    """Block-diagonal Gram matrix of the expression, with block layout.
+    """Block-diagonal Gram matrix of the expression, one component per atom.
 
     Each atom copy is one orthogonal component, laid out in term order: the
     graphs of A_n, D_n, E6/E7/E8, U and <k> are connected, so no component
@@ -379,19 +365,20 @@ def gram(expr: LatticeExpr) -> GramMatrix:
     """
     comps: list[tuple[int, ...]] = []
     mats: list[tuple[Vector, ...]] = []
-    blocks: list[Block] = []
+    atoms: list[Term] = []
     pos, neg, det = 0, 0, 1
     for term in expr.terms:
-        m, atom_neg, atom_det = _atom_block(term.kind, term.n, term.scale)
+        m, atom_neg, atom_det, atom = _atom_block(term.kind, term.n,
+                                                  term.scale)
         neg += term.mult * atom_neg
         det *= atom_det ** term.mult
-        k, label = len(m), term.atom_label()
-        for _ in range(term.mult):
-            comps.append(tuple(range(pos, pos + k)))
-            mats.append(m)
-            blocks.append(Block(label, pos, k, term.scale))
-            pos += k
-    return GramMatrix(tuple(comps), tuple(mats), tuple(blocks), (neg, det))
+        k = len(m)
+        end = pos + term.mult * k
+        comps += [tuple(range(p, p + k)) for p in range(pos, end, k)]
+        mats += [m] * term.mult
+        atoms += [atom] * term.mult
+        pos = end
+    return GramMatrix(tuple(comps), tuple(mats), tuple(atoms), (neg, det))
 
 
 def _components(g: list[list[int]]) -> tuple[tuple[int, ...], ...]:

@@ -76,10 +76,10 @@ def _add(a: Vector, b: Vector, s: int = 1) -> Vector:
     return tuple(x + s * y for x, y in zip(a, b))
 
 
-def _unscaled_u(g: GramMatrix) -> Optional[tuple[int, int]]:
-    """Coordinates of u1, u2 in the first unscaled U summand, or None."""
-    b = next((b for b in g.blocks if b.scale == 1 and b.label == "U"), None)
-    return None if b is None else (b.start, b.start + 1)
+def _unscaled_u(g: GramMatrix) -> Optional[tuple[int, ...]]:
+    """Coordinates (u1, u2) of the first unscaled U summand, or None."""
+    return next((c for a, c in zip(g.atoms, g.components)
+                 if a.kind == "U" and a.scale == 1), None)
 
 
 def find_a2_pair(expr: LatticeExpr) -> Optional[A2Certificate]:
@@ -87,33 +87,33 @@ def find_a2_pair(expr: LatticeExpr) -> Optional[A2Certificate]:
 
     Only named constructions from unscaled summands are tried: adjacent
     simple roots of the first A/D/E summand of rank >= 2, else e - u1 and
-    u1 + u2 from a <2> summand and a U. None means neither summand exists,
-    not that no pair does. Each construction is an A2 pair by algebra, so
-    none is checked here: the simple roots e_i, -m_ij e_j of an unscaled
-    A/D/E block (diagonal 2, |m_ij| = 1) have squares 2, 2 and pairing
-    -m_ij^2 = -1, and e - u1, u1 + u2 (e^2 = 2, u1^2 = u2^2 = 0,
+    u1 + u2 from a <2> (or A1) summand and a U. None means neither summand
+    exists, not that no pair does. Each construction is an A2 pair by
+    algebra, so none is checked here: the simple roots e_i, -m_ij e_j of an
+    unscaled A/D/E block (diagonal 2, |m_ij| = 1) have squares 2, 2 and
+    pairing -m_ij^2 = -1, and e - u1, u1 + u2 (e^2 = 2, u1^2 = u2^2 = 0,
     u1.u2 = 1) have squares 2, 2 and pairing -1. The verdict checks the
     certificate it returns (``_verdict``).
     """
     g = gram(expr)
     rank = g.rank
-    # adjacent simple roots inside one unscaled A/D/E summand of rank >= 2;
-    # the component of each atom copy is its block m
-    for b, m in zip(g.blocks, g.component_blocks):
-        if b.scale == 1 and b.size >= 2 and b.label[0] in "ADE":
-            for i in range(b.size):
-                for j in range(i + 1, b.size):
+    # adjacent simple roots inside one unscaled A/D/E summand (an A1 has
+    # none), at the coordinates of its component
+    for a, c, m in zip(g.atoms, g.components, g.component_blocks):
+        if a.scale == 1 and a.kind in ("A", "D", "E"):
+            for i in range(len(c)):
+                for j in range(i + 1, len(c)):
                     if abs(m[i][j]) == 1:
-                        v1 = _unit(rank, b.start + i)
-                        v2 = _unit(rank, b.start + j, -m[i][j])
-                        return A2Certificate(v1, v2, f"root summand {b.label}")
+                        v1 = _unit(rank, c[i])
+                        v2 = _unit(rank, c[j], -m[i][j])
+                        return A2Certificate(v1, v2, f"root summand {a}")
     # <2> + U: v1 = e - u1, v2 = u1 + u2
-    e_block = next((b for b, m in zip(g.blocks, g.component_blocks)
-                    if b.scale == 1 and b.size == 1 and m == ((2,),)), None)
+    e = next((c for a, c in zip(g.atoms, g.components) if a.scale == 1
+              and (a.kind, a.n) in (("diag", 2), ("A", 1))), None)
     u = _unscaled_u(g)
-    if e_block and u:
+    if e and u:
         u1, u2 = u
-        v1 = _add(_unit(rank, e_block.start), _unit(rank, u1), -1)
+        v1 = _add(_unit(rank, e[0]), _unit(rank, u1), -1)
         v2 = _add(_unit(rank, u1), _unit(rank, u2))
         return A2Certificate(v1, v2, "<2> + U")
     return None

@@ -2,7 +2,7 @@
 
 Signature, determinant, two-rank and the type verdict are computed once per
 distinct orthogonal component block and added up (or ANDed) over the sum;
-``apply`` and ``inner`` read sparse rows. Hypothesis draws orthogonal sums
+``apply`` and ``inner`` read the blocks too. Hypothesis draws orthogonal sums
 of grammar atoms (with multiplicities and scales, U(k) and <k> included)
 and dense nondegenerate blocks, and conjugates each sum by a permutation so
 that the components interleave, as in ``test_elimination``. Every example
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from realcubic.intmat import det
 from realcubic.lattices import (
+    Term,
     discriminant_form,
     discriminant_group,
     gram,
@@ -146,19 +147,22 @@ def test_atom_split_matches_the_scan():
               deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(expression_texts())
     def check(text):
-        g = gram(parse_lattice_expr(text))
+        expr = parse_lattice_expr(text)
+        g = gram(expr)
         scanned = gram_from_rows(g.rows())
         assert g.components == scanned.components
         assert g.component_blocks == scanned.component_blocks
         assert g.entries == scanned.entries
-        assert len(g.blocks) == len(g.components)
-        assert [tuple(range(b.start, b.start + b.size)) for b in g.blocks] \
-            == list(g.components)
+        assert g.atoms == tuple(Term(1, t.kind, t.n, t.scale)
+                                for t in expr.terms for _ in range(t.mult))
+        assert [len(c) for c in g.components] \
+            == [a.atom_rank for a in g.atoms]
+        assert [j for c in g.components for j in c] == list(range(g.rank))
         assert signature(g) == signature(scanned) == oracle_signature(g)
         assert g.det() == scanned.det() == det(g.rows())
         assert two_part(g) == two_part(scanned)
         seen["components"] = max(seen["components"], len(g.components))
-        seen["scaled"] |= any(b.scale > 1 for b in g.blocks)
+        seen["scaled"] |= any(a.scale > 1 for a in g.atoms)
 
     check()
     assert seen["components"] >= 8 and seen["scaled"]

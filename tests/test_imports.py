@@ -70,7 +70,7 @@ UNCALLED = {
     "intmat.is_unimodular": "test oracle of the SNF contract (criterion 11)",
     "lattices.gram_from_rows": "test oracle: Gram matrices from raw rows",
     "lattices.discriminant_group": "test oracle; the benchmark traces it",
-    "lattices.AMBIENT_M": "ROADMAP items 5 and 6 read it",
+    "lattices.AMBIENT_M": "ROADMAP items 5 and 17 read it",
     "lattices.AMBIENT_M0": "ROADMAP item 5 reads it",
     "ramified.handle_counts": "acceptance criterion 10",
     "surgery.blow_down": "Kirby move, acceptance criterion 8",

@@ -18,6 +18,7 @@ form for, so that no caller builds a U or V it does not read. The oracle
 of ``surgery.slide`` is the former dense congruence E^T M E.
 """
 
+import dataclasses
 import importlib
 import os
 import pickle
@@ -56,6 +57,7 @@ from realcubic.lattices import (
 )
 from realcubic.surgery import h1_from_linking, slide
 from realcubic.walls import cusp_stratum
+from test_elimination import interleaved_blocks
 
 
 def oracle_smith_normal_form(m: Matrix) -> tuple[list[int], Matrix, Matrix]:
@@ -274,9 +276,20 @@ def test_a_second_vertex_check_reads_the_kept_two_ranks(k4, monkeypatch):
 
 
 def test_sparse_inner_and_apply_match_dense_formulas(k4):
+    # expressions lay out contiguous components; matrices given as rows
+    # interleave them, degenerate ones included, and ``entries`` gives back
+    # the rows
     rng = random.Random(16)
     grams = eigenlattice_grams(k4) + [
         gram(parse_lattice_expr(t)) for t in ("A1", "U", "<-2>+A2", "E8")]
+    for i in range(60):
+        rows, _ = interleaved_blocks(rng, degenerate=i % 3 == 0)
+        g = gram_from_rows(rows)
+        assert g.entries == tuple(map(tuple, rows))
+        grams.append(g)
+    assert any(c != tuple(range(c[0], c[-1] + 1))
+               for g in grams for c in g.components)
+    assert any(g.det() == 0 for g in grams)
     for g in grams:
         n = g.rank
         vectors = [(0,) * n, tuple(1 if i == n - 1 else 0 for i in range(n))]
@@ -475,7 +488,8 @@ def test_a_cold_build_never_scans_for_components(monkeypatch):
     # components atom by atom; only a matrix given as rows is scanned.
     # Nor do the build, its check and the cusp verdicts read a dense
     # Gram matrix, and the build computes no F2 two-rank: only the check
-    # reads one.
+    # reads one. No path keeps a view of a Gram matrix beside its fields:
+    # only the rank, the inertia and the two-rank are kept.
     scans = []
     components = realcubic.lattices._components
 
@@ -492,6 +506,9 @@ def test_a_cold_build_never_scans_for_components(monkeypatch):
     for e in atlas.edges:
         cusp_stratum((atlas.vertex(e.source), atlas.vertex(e.target)))
     assert scans == []
-    assert not any("entries" in vars(g) for g in eigenlattice_grams(atlas))
+    kept = {f.name for f in dataclasses.fields(GramMatrix)} | {
+        "rank", "inertia", "two_rank"}
+    assert {k for g in eigenlattice_grams(atlas)
+            for k in vars(g).keys() - kept} == set()
     gram_from_rows([[2, 1], [1, 2]])
     assert scans == [2]

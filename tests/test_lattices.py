@@ -242,9 +242,9 @@ def test_parse_agrees_with_the_former_scanner():
 
 def test_gram_blocks():
     g = gram(parse_lattice_expr("U+2*A1+E8(2)"))
-    labels = [(b.label, b.start, b.size, b.scale) for b in g.blocks]
-    assert labels == [("U", 0, 2, 1), ("A1", 2, 1, 1), ("A1", 3, 1, 1),
-                      ("E8", 4, 8, 2)]
+    assert g.atoms == (Term(1, "U", 0), Term(1, "A", 1), Term(1, "A", 1),
+                       Term(1, "E", 8, 2))
+    assert g.components == ((0, 1), (2,), (3,), tuple(range(4, 12)))
     assert g.entries[0][1] == 1 and g.entries[0][0] == 0
     assert g.entries[2][2] == 2
     assert g.entries[4][4] == 4  # scaled E8 diagonal

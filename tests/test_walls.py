@@ -256,13 +256,13 @@ def former_mod3_pair(cert: A2Certificate,
     # difference vector is a 6-root); retry with mixed pairs across summands
     rank = g.rank
     candidates = [cert.v1, cert.v2]
-    for b in g.blocks:
-        if b.scale == 1 and b.size == 1 and g.entries[b.start][b.start] == 2:
-            candidates.append(_unit(rank, b.start))
-    u_block = next((b for b in g.blocks if b.scale == 1 and b.label == "U"),
-                   None)
+    for a, c in zip(g.atoms, g.components):
+        if a.scale == 1 and len(c) == 1 and g.entries[c[0]][c[0]] == 2:
+            candidates.append(_unit(rank, c[0]))
+    u_block = next((c for a, c in zip(g.atoms, g.components)
+                    if a.scale == 1 and a.kind == "U"), None)
     if u_block:
-        u1, u2 = u_block.start, u_block.start + 1
+        u1, u2 = u_block
         candidates.append(_add(_unit(rank, u1), _unit(rank, u2)))
         for e in [c for c in candidates if g.norm(c) == 2]:
             candidates.append(_add(e, _unit(rank, u1), -1))
